@@ -6,17 +6,23 @@
 Run it from the root of a hybridkm checkout; the package is imported from
 ``src/``.  The run generates the workload from the seed (bench/gen.py, in a
 child process), sets up several times and keeps the median set-up time,
-then replays the workload's operations in a closed loop with one client:
-pass after pass until ``--seconds`` have elapsed, and always at least one
-full pass.  The outputs of the first pass are checked against oracles and,
-for the seeds recorded in bench/spec.json, against the recorded digest;
-later passes must reproduce the first pass exactly.
+then sends the workload's operations in a closed loop with one client.
+
+No timed request is a repeat.  Pass 0 sends every operation of the seed's
+own dataset once; its outputs are checked against oracles and, for the
+seeds recorded in bench/spec.json, against the recorded digest.  Further
+passes each run on a fresh dataset generated from a seed derived from
+(seed, pass), set up untimed, until the operations have taken ``--seconds``
+in all; their outputs are checked against the oracles.  A result or memo
+cache inside the program therefore sees each request once, as in one
+scoring run or one serving stream.
 
 With ``--trace 0`` the last line of stdout carries the end-to-end metrics.
-With ``--trace 1`` the same untraced measurement is followed by one traced
-pass, and the last line carries the per-layer metrics.  The line before the
-last one holds the details: tail percentile and sample counts, retrieval
-quality, failed ratio, digest and input properties.
+With ``--trace 1`` pass 0 runs under the tracer, the untraced passes that
+follow are its reference for the tracing overhead, and the last line
+carries the per-layer metrics.  The line before the last one holds the
+details: tail percentile and sample counts, retrieval quality, failed
+ratio, digests and input properties.
 """
 
 from __future__ import annotations
@@ -42,19 +48,10 @@ import tracer as tracing
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
+WORK = ROOT / ".bench_work"
 SPEC = json.loads((BENCH / "spec.json").read_text(encoding="utf-8"))
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SETUP_REPS = 5
-
-
-class _Raised:
-    """Stands in for the output of an operation that raised; equal to nothing."""
-
-    def __init__(self, exc: BaseException):
-        self.text = f"{type(exc).__name__}: {exc}"
-
-    def __repr__(self) -> str:
-        return f"<raised {self.text}>"
 
 
 def percentile(sorted_values: list[float], p: float) -> float:
@@ -66,6 +63,24 @@ def percentile(sorted_values: list[float], p: float) -> float:
 def digest(outputs) -> str:
     text = json.dumps(outputs, sort_keys=True, separators=(",", ":"), default=repr)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def pass_seed(seed: int, k: int) -> int:
+    """Seed of pass ``k``'s dataset: the run's own seed for pass 0, else
+    one derived from both, so no two runs or passes share a dataset."""
+    if k == 0:
+        return seed
+    return int.from_bytes(hashlib.sha256(f"{seed}/{k}".encode("ascii")).digest()[:4], "big")
+
+
+def generate(seed: int, size: str) -> Path:
+    data = Path(tempfile.mkdtemp(prefix=f"seed{seed}-", dir=WORK))
+    subprocess.run(
+        [sys.executable, str(BENCH / "gen.py"), "--seed", str(seed), "--out", str(data), "--size", size],
+        check=True,
+        timeout=150,
+    )
+    return data
 
 
 def timed_setup(workload, tracer=None):
@@ -88,30 +103,20 @@ def timed_setup(workload, tracer=None):
     return times, state
 
 
-def closed_loop(workload, state, seconds: float, first=None, tracer=None, passes=None):
-    """One client replays the operations in order, each waiting for the
-    previous reply, for ``seconds`` and at least one full pass (exactly
-    ``passes`` passes when given).
+def closed_loop(workload, state, budget: float = math.inf, tracer=None):
+    """One client sends the operations in order, each waiting for the
+    previous reply, until all are sent or their summed time reaches
+    ``budget`` seconds.
 
-    ``first`` holds the outputs of an earlier first pass to compare
-    against; without it this loop's own first pass is kept.  Returns the
-    latencies, work items, first-pass outputs and the indices of the
-    executions that raised or disagreed with the first pass."""
-    ops = workload.ops(state)
-    keep = first is None
-    if keep:
-        first = [None] * len(ops)
+    Returns the latencies, the work items and the outputs, with None for
+    an operation that raised."""
     latencies: list[float] = []
+    outputs: list = []
     items = 0
-    failed: list[int] = []
-    deadline = perf_counter() + seconds
-    limit = passes * len(ops) if passes else None
-    n = 0
-    while True:
-        if n >= len(ops) and (n >= limit if limit else perf_counter() >= deadline):
+    spent = 0.0
+    for n, op in enumerate(workload.ops(state)):
+        if spent >= budget:
             break
-        i = n % len(ops)
-        op = ops[i]
         t0 = perf_counter()
         try:
             if tracer is None:
@@ -119,25 +124,30 @@ def closed_loop(workload, state, seconds: float, first=None, tracer=None, passes
             else:
                 with tracer.span("op", n):
                     out = workload.run_op(state, op)
-        except Exception as exc:  # an operation that raises counts as failed; the loop goes on
-            out = _Raised(exc)
-            if not failed:
+        except Exception:  # an operation that raises counts as failed; the loop goes on
+            out = None
+            if None not in outputs[-1:]:  # one traceback per run of consecutive failures
                 traceback.print_exc(file=sys.stderr)
-        latencies.append(perf_counter() - t0)
+        dt = perf_counter() - t0
+        spent += dt
+        latencies.append(dt)
+        outputs.append(out)
         items += workload.weight(op)
-        if keep and n < len(ops):
-            first[i] = out
-            if isinstance(out, _Raised):
-                failed.append(n)
-        elif isinstance(out, _Raised) or out != first[i]:
-            failed.append(n)
-        n += 1
-    return latencies, items, first, failed
+    return latencies, items, outputs
 
 
-def cli_overhead(data: Path) -> tuple[float, bool]:
+def failures(workload, state, outputs) -> set[int]:
+    """Indices of outputs that raised or fail the workload's oracle."""
+    ops = workload.ops(state)[: len(outputs)]
+    raised = {i for i, out in enumerate(outputs) if out is None}
+    kept = [i for i in range(len(outputs)) if i not in raised]
+    bad = workload.check([ops[i] for i in kept], [outputs[i] for i in kept])
+    return raised | {kept[j] for j in bad}
+
+
+def cli_overhead(data: Path) -> tuple[float, dict]:
     """Seconds of one in-process ``hybridkm evaluate`` beyond the library
-    calls it makes, and whether its payload reports every turn."""
+    calls it makes, and its report without the run manifest."""
     from hybridkm import cli
 
     t = tracing.Tracer()
@@ -148,9 +158,9 @@ def cli_overhead(data: Path) -> tuple[float, bool]:
         t0 = perf_counter()
         code = cli.main(args)
         wall = perf_counter() - t0
-    payload = json.loads(out.getvalue())
-    turns = sum(len(dg["turns"]) for dg in json.loads((data / "corpus.json").read_text(encoding="utf-8"))["dialogs"])
-    return wall - t.top_level_time(), code == 0 and payload.get("n_turns") == turns
+    payload = json.loads(out.getvalue()) if code == 0 else {}
+    payload.pop("manifest", None)
+    return wall - t.top_level_time(), payload
 
 
 def layer_metrics(t, items: int, is_scoring: bool) -> dict[str, float]:
@@ -204,83 +214,104 @@ def layer_metrics(t, items: int, is_scoring: bool) -> dict[str, float]:
 def run(name: str, seed: int, seconds: float, trace: bool, size: str, data: Path) -> tuple[dict, dict]:
     import workloads  # imports hybridkm, so only after src/ is on the path
 
-    workload = workloads.WORKLOADS[name](data, seed)
+    make = workloads.WORKLOADS[name]
+    workload = make(data, seed)
     spec = SPEC["workloads"][name]
+    recorded = SPEC["recorded"].get(str(seed), {}).get(name) if size == "default" else None
     t = tracing.Tracer() if trace else None
 
     setup_times, state = timed_setup(workload, t)
-    latencies, items, first, failed = closed_loop(workload, state, seconds)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    ops = len(latencies)
 
+    # Pass 0: the seed's own dataset, traced in a traced run.
     if trace:
         with t.installed():
-            traced, traced_items, _, traced_failed = closed_loop(workload, state, 0, first=first, tracer=t, passes=1)
-        failed += [ops + i for i in traced_failed]
-        ops += len(traced)
+            traced, traced_items, first = closed_loop(workload, state, tracer=t)
+        latencies, items = [], 0
+    else:
+        latencies, items, first = closed_loop(workload, state)
+    attempted = len(first)
+    bad = failures(workload, state, first)
+    pass_digest = digest(first)
+    quality = workload.quality(workload.ops(state), first) if not bad else {}
+    digest_ok = recorded is None or (recorded["digest"] == pass_digest and recorded["quality"] == quality)
+    if not digest_ok:
+        bad = set(range(len(first)))
+    n_failed = len(bad)
+
+    details: dict = {}
+    if trace:
         layers = layer_metrics(t, traced_items, name == "eval-test")
-        layers["trace.overhead_ratio"] = statistics.fmean(traced) / statistics.fmean(latencies) - 1.0
         layers["cli.evaluate_overhead_s"] = 0.0
         if name == "eval-test":
-            overhead, cli_ok = cli_overhead(data)
-            layers["cli.evaluate_overhead_s"] = overhead
-            if not cli_ok:
-                failed.append(ops)
-            ops += 1
-        trace_file = ROOT / ".bench_work" / "traces" / f"{name}-seed{seed}.json"
+            # The paper's whole-file report, beside the chunk reports that
+            # give the latency samples: oracle and recorded digest.
+            layers["cli.evaluate_overhead_s"], whole = cli_overhead(data)
+            details["whole_digest"] = whole_digest = digest(whole)
+            whole_ok = bool(whole) and not workload.check([workload.whole(state)], [whole])
+            whole_ok = whole_ok and (recorded is None or recorded["whole_digest"] == whole_digest)
+            attempted += 1
+            n_failed += not whole_ok
+        trace_file = WORK / "traces" / f"{name}-seed{seed}.json"
         trace_file.parent.mkdir(parents=True, exist_ok=True)
         t.write(trace_file)
 
-    bad_first = set(workload.check(state, first)) | {i for i in failed if i < len(first)}
-    pass_digest = digest(first)
-    quality = workload.quality(state, first)
-    recorded = SPEC["recorded"].get(str(seed), {}).get(name) if size == "default" else None
-    digest_ok = recorded is None or (recorded["digest"] == pass_digest and recorded["quality"] == quality)
-    if not digest_ok:
-        bad_first = set(range(len(first)))
-    n_failed = len(bad_first) + sum(1 for i in failed if i >= len(first))
+    # Further passes, each on a fresh dataset, until the budget is spent.
+    state = None
+    k = 0
+    while not latencies or sum(latencies) < seconds:
+        k += 1
+        pass_data = generate(pass_seed(seed, k), size)
+        try:
+            workload = make(pass_data, pass_seed(seed, k))
+            gc.collect()
+            state = workload.setup()
+            lat, n_items, outputs = closed_loop(workload, state, seconds - sum(latencies))
+            latencies += lat
+            items += n_items
+            attempted += len(outputs)
+            n_failed += len(failures(workload, state, outputs))
+            state = None
+        finally:
+            shutil.rmtree(pass_data, ignore_errors=True)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    # Each request counts once in the latency distribution, with the mean of
-    # its repeats: the percentiles then do not depend on how far the last
-    # partial pass got, and a run that spends part of its time on a slowed
-    # host reads in between instead of jumping to one mode or the other.
-    per_op = sorted(statistics.fmean(latencies[i :: len(first)]) for i in range(len(first)))
+    samples = sorted(latencies)
     tail_p = spec["tail_percentile"]
-    details = {
+    details.update({
         "workload": name,
         "seed": seed,
         "size": size,
         "loop": "closed, 1 client",
-        "ops": len(latencies),
-        "passes": len(latencies) / len(first),
+        "passes": 1 + k,
+        "timed_ops": len(samples),
         "throughput_unit": f"{workload.item}s/s",
         "tail_percentile": tail_p,
-        "latency_samples": len(per_op),
-        "tail_samples_beyond": len(per_op) - max(1, math.ceil(tail_p / 100.0 * len(per_op))),
+        "tail_samples_beyond": len(samples) - max(1, math.ceil(tail_p / 100.0 * len(samples))),
         "setup_s_reps": setup_times,
-        "failed_ratio": n_failed / ops,
+        "failed_ratio": n_failed / attempted,
         "quality": quality,
         "quality_unit": "ratio",
         "digest": pass_digest,
         "digest_recorded": None if recorded is None else recorded["digest"],
         "digest_match": None if recorded is None else digest_ok,
         "input": json.loads((data / "meta.json").read_text(encoding="utf-8"))["properties"],
-    }
+    })
     if trace:
+        # Time per work item traced on pass 0 over untraced on later passes.
+        layers["trace.overhead_ratio"] = (sum(traced) / traced_items) / (sum(latencies) / items) - 1.0
         details["trace_file"] = str(trace_file.relative_to(ROOT))
         details["trace_overhead_ratio"] = layers["trace.overhead_ratio"]
-    if trace:
         metrics = {m["name"]: {"value": layers[m["name"]], "unit": m["unit"]} for m in CONTRACT["per_layer"]}
     else:
         values = {
             "setup_s": statistics.median(setup_times),
             "throughput_ops_s": items / sum(latencies),
-            "latency_p50_ms": percentile(per_op, 50) * 1000.0,
-            "latency_tail_ms": percentile(per_op, tail_p) * 1000.0,
+            "latency_p50_ms": percentile(samples, 50) * 1000.0,
+            "latency_tail_ms": percentile(samples, tail_p) * 1000.0,
             "peak_rss_mb": peak_rss_mb,
         }
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in CONTRACT["end_to_end"]}
-    result = {"correct": n_failed == 0, "attempted": ops, "failed": n_failed, "metrics": metrics}
+    result = {"correct": n_failed == 0, "attempted": attempted, "failed": n_failed, "metrics": metrics}
     return details, result
 
 
@@ -298,15 +329,9 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(ROOT / "src"))
 
-    work_root = ROOT / ".bench_work"
-    work_root.mkdir(exist_ok=True)
-    data = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=work_root))
+    WORK.mkdir(exist_ok=True)
+    data = generate(args.seed, args.size)
     try:
-        subprocess.run(
-            [sys.executable, str(BENCH / "gen.py"), "--seed", str(args.seed), "--out", str(data), "--size", args.size],
-            check=True,
-            timeout=150,
-        )
         details, result = run(args.workload, args.seed, args.seconds, bool(args.trace), args.size, data)
     finally:
         shutil.rmtree(data, ignore_errors=True)

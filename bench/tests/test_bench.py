@@ -19,6 +19,7 @@ WORKLOADS = [w["name"] for w in CONTRACT["workloads"]]
 
 sys.path.insert(0, str(BENCH))
 import gen  # noqa: E402
+import run  # noqa: E402
 
 
 def _files(directory: Path) -> dict[str, bytes]:
@@ -41,6 +42,12 @@ def test_generator_db_rows_use_the_loader_schema(tmp_path):
     db = json.loads((tmp_path / "db.json").read_text(encoding="utf-8"))
     rows = [row for table in db.values() for row in table]
     assert rows and all(set(row) == {"slots", "bookable"} for row in rows)
+
+
+def test_every_pass_of_every_run_gets_a_dataset_of_its_own():
+    seeds = {run.pass_seed(seed, k) for seed in (1, 2, 7919) for k in range(1000)}
+    assert len(seeds) == 3000
+    assert [run.pass_seed(seed, 0) for seed in (1, 2, 7919)] == [1, 2, 7919]
 
 
 def _run(workload: str, trace: int, cwd: Path = ROOT) -> subprocess.CompletedProcess:

@@ -2,8 +2,8 @@
 
 Each workload loads its inputs in ``setup`` (timed as set-up), lists its
 operations, runs one operation per ``run_op`` call (the timed unit of the
-closed loop), and checks the outputs of one full pass against oracles that
-read the generated JSON directly, without the package's loaders.
+closed loop), and checks outputs against oracles that read the generated
+JSON directly, without the package's loaders.
 
 The package is reached through module attributes at call time
 (``metrics.evaluate(...)``), so the tracer's rebinding sees every call.
@@ -87,10 +87,16 @@ class EvalTest:
             part = dialogs[i : i + EVAL_CHUNK_DIALOGS]
             sub = corpus.DialogCorpus(dialogs={dg.id: dg for dg in part}, ontology=ontology)
             chunks.append((sub, [p for dg in part for p in by_dialog[dg.id]], sum(len(dg.turns) for dg in part)))
-        return {"db": db, "ontology": ontology, "chunks": chunks}
+        whole = (gold, predictions, sum(len(dg.turns) for dg in dialogs))
+        return {"db": db, "ontology": ontology, "chunks": chunks, "whole": whole}
 
     def ops(self, state):
         return state["chunks"]
+
+    @staticmethod
+    def whole(state):
+        """The operation that scores the whole prediction file at once."""
+        return state["whole"]
 
     @staticmethod
     def weight(op) -> int:
@@ -100,13 +106,13 @@ class EvalTest:
         report = metrics.evaluate(op[0], op[1], db=state["db"], ontology=state["ontology"])
         return report.to_dict()
 
-    def check(self, state, outputs) -> list[int]:
-        """Indices of chunk reports that disagree with the oracle."""
+    def check(self, ops, outputs) -> list[int]:
+        """Indices of reports that disagree with the oracle."""
         d = self.data
         gold = {dg["id"]: dg for dg in _load_json(d / "corpus.json")["dialogs"]}
         preds = {(p["dialog_id"], p["turn_index"]): p for p in _load_json(d / "predictions.json")}
         bad = []
-        for i, (op, report) in enumerate(zip(self.ops(state), outputs)):
+        for i, (op, report) in enumerate(zip(ops, outputs)):
             n_orig = n_ins = jg = 0
             ranked = []
             for dialog_id in sorted(op[0].dialogs):
@@ -140,7 +146,7 @@ class EvalTest:
                 bad.append(i)
         return bad
 
-    def quality(self, state, outputs) -> dict:
+    def quality(self, ops, outputs) -> dict:
         return {}
 
 
@@ -193,24 +199,31 @@ class EngineTurns:
             ranked = result.ranking if result is not None else None
         return tuple(matches), ranked
 
-    def check(self, state, outputs) -> list[int]:
+    def check(self, ops, outputs) -> list[int]:
         """Indices of turns whose match vectors or ranking fail the oracle."""
         d = self.data
-        rows = _load_json(d / "db.json")
+        rows = {
+            domain: [({s: " ".join(str(v).split()).lower() for s, v in r["slots"].items()}, r.get("bookable", False)) for r in table]
+            for domain, table in _load_json(d / "db.json").items()
+        }
         doc_domain = {doc["id"]: doc["domain"] for doc in _load_json(d / "docs.json")["documents"]}
+        seen: dict = {}  # (domain, constraints) -> bookable flag of each matching row
         bad = []
-        for i, (text, (matches, ranked)) in enumerate(zip(self.ops(state), outputs)):
+        for i, (text, (matches, ranked)) in enumerate(zip(ops, outputs)):
             triples, topic = _flat_state(text)
             domains = sorted({k.partition("-")[0] for k in triples if not k.endswith("-ruk")} & set(rows))
             ok = [m[0] for m in matches] == domains
             for domain, count, bits in matches:
                 cons = {k.partition("-")[2]: v for k, v in triples.items() if k.startswith(domain + "-") and not k.endswith("-ruk")}
-                hits = [
-                    r for r in rows[domain]
-                    if all(v == "dontcare" or " ".join(str(r["slots"].get(s, "")).split()).lower() == v for s, v in cons.items())
-                ]
+                key = (domain, tuple(sorted(cons.items())))
+                if key not in seen:
+                    seen[key] = [
+                        bookable for slots, bookable in rows[domain]
+                        if all(v == "dontcare" or slots.get(s, "") == v for s, v in cons.items())
+                    ]
+                hits = seen[key]
                 bucket = 0 if not hits else 1 if len(hits) == 1 else 2 if len(hits) <= 3 else 3
-                want = [int(b == bucket) for b in range(4)] + [int(any(r.get("bookable", False) for r in hits))]
+                want = [int(b == bucket) for b in range(4)] + [int(any(hits))]
                 ok = ok and count == len(hits) and list(bits) == want
             ruk = next((k for k in triples if k.endswith("-ruk")), None)
             if ruk is None or not topic:
@@ -223,7 +236,7 @@ class EngineTurns:
                 bad.append(i)
         return bad
 
-    def quality(self, state, outputs) -> dict:
+    def quality(self, ops, outputs) -> dict:
         d = self.data
         gold = {}
         for dialog in _load_json(d / "corpus.json")["dialogs"]:
@@ -278,7 +291,7 @@ class BaselineRank:
             retrieval.bm25_retrieve(base, context).ranking,
         )
 
-    def check(self, state, outputs) -> list[int]:
+    def check(self, ops, outputs) -> list[int]:
         n_docs = len(_load_json(self.data / "docs.json")["documents"])
         k = min(TOP_K, n_docs)
         return [
@@ -291,8 +304,8 @@ class BaselineRank:
             )
         ]
 
-    def quality(self, state, outputs) -> dict:
-        gold = [op[2] for op in self.ops(state)]
+    def quality(self, ops, outputs) -> dict:
+        gold = [op[2] for op in ops]
         out = {}
         for m, method in enumerate(("tfidf", "bm25")):
             r1, mrr = _rank_quality(([doc_id for doc_id, _ in o[m]], g) for o, g in zip(outputs, gold))
