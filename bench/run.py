@@ -17,6 +17,11 @@ in all; their outputs are checked against the oracles.  A result or memo
 cache inside the program therefore sees each request once, as in one
 scoring run or one serving stream.
 
+Timed end-to-end figures are given at reference speed: each operation and
+set-up is scaled by a speed reading (a fixed loop) taken around it, so that
+the host's speed drifting during or between runs mostly cancels out.  The
+details line carries the same figures as measured.
+
 With ``--trace 0`` the last line of stdout carries the end-to-end metrics.
 With ``--trace 1`` pass 0 runs under the tracer, the untraced passes that
 follow are its reference for the tracing overhead, and the last line
@@ -52,6 +57,13 @@ WORK = ROOT / ".bench_work"
 SPEC = json.loads((BENCH / "spec.json").read_text(encoding="utf-8"))
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SETUP_REPS = 5
+#: Operation time between two speed readings, in seconds.
+READING_EVERY_S = 0.02
+#: The speed reading that defines reference speed: end-to-end times are
+#: scaled to the speed at which speed_reading() takes this long, which is
+#: about how fast an otherwise idle 2-vCPU Xeon VM runs it.
+REFERENCE_READING_S = 0.001
+_READING_KEYS = tuple(f"key{i}" for i in range(256))
 
 
 def percentile(sorted_values: list[float], p: float) -> float:
@@ -83,24 +95,44 @@ def generate(seed: int, size: str) -> Path:
     return data
 
 
+def speed_reading() -> float:
+    """Seconds a fixed dict-and-string loop takes now: how fast the host
+    runs Python at this moment, apart from anything the program does."""
+    counts = dict.fromkeys(_READING_KEYS, 0)
+    t0 = perf_counter()
+    for _ in range(40):
+        for key in _READING_KEYS:
+            counts[key] += len(key)
+    return perf_counter() - t0
+
+
+def at_reference_speed(seconds: list[float], readings: list[float]) -> list[float]:
+    """Each time scaled by REFERENCE_READING_S over the speed reading taken
+    around it: the time it would have taken at reference speed."""
+    return [t * REFERENCE_READING_S / r for t, r in zip(seconds, readings)]
+
+
 def timed_setup(workload, tracer=None):
-    """Set up SETUP_REPS times; return (seconds per rep, state of the last).
+    """Set up SETUP_REPS times; return the seconds of each rep, the mean of
+    the speed readings just before and after each, and the state of the last.
 
     A traced run then sets up once more under the tracer, untimed."""
-    times = []
+    times, readings = [], []
     state = None
     for _ in range(SETUP_REPS):
         state = None
         gc.collect()
+        before = speed_reading()
         t0 = perf_counter()
         state = workload.setup()
         times.append(perf_counter() - t0)
+        readings.append((before + speed_reading()) / 2)
     if tracer is not None:
         state = None
         gc.collect()
         with tracer.installed(), tracer.span("setup", -1):
             state = workload.setup()
-    return times, state
+    return times, readings, state
 
 
 def closed_loop(workload, state, budget: float = math.inf, tracer=None):
@@ -108,12 +140,20 @@ def closed_loop(workload, state, budget: float = math.inf, tracer=None):
     previous reply, until all are sent or their summed time reaches
     ``budget`` seconds.
 
-    Returns the latencies, the work items and the outputs, with None for
-    an operation that raised."""
+    A speed reading is taken before the first operation, after the last,
+    and between operations whenever READING_EVERY_S of operation time has
+    passed since the last one; each operation gets the mean of the two
+    readings around it.  The host's speed drifts by up to 1.7x for seconds
+    to minutes at a time, so a reading close in time tracks it.
+
+    Returns the latencies, the work items, the readings, and the outputs,
+    with None for an operation that raised."""
     latencies: list[float] = []
+    weights: list[int] = []
+    readings: list[float] = []
     outputs: list = []
-    items = 0
-    spent = 0.0
+    spent = since = 0.0
+    before = speed_reading()
     for n, op in enumerate(workload.ops(state)):
         if spent >= budget:
             break
@@ -130,10 +170,18 @@ def closed_loop(workload, state, budget: float = math.inf, tracer=None):
                 traceback.print_exc(file=sys.stderr)
         dt = perf_counter() - t0
         spent += dt
+        since += dt
         latencies.append(dt)
+        weights.append(workload.weight(op))
         outputs.append(out)
-        items += workload.weight(op)
-    return latencies, items, outputs
+        if since >= READING_EVERY_S:
+            after = speed_reading()
+            readings += [(before + after) / 2] * (len(latencies) - len(readings))
+            before, since = after, 0.0
+    if len(readings) < len(latencies):
+        after = speed_reading()
+        readings += [(before + after) / 2] * (len(latencies) - len(readings))
+    return latencies, weights, readings, outputs
 
 
 def failures(workload, state, outputs) -> set[int]:
@@ -161,6 +209,17 @@ def cli_overhead(data: Path) -> tuple[float, dict]:
     payload = json.loads(out.getvalue()) if code == 0 else {}
     payload.pop("manifest", None)
     return wall - t.top_level_time(), payload
+
+
+def timings(setup_times: list[float], latencies: list[float], weights: list[int], tail_p: float) -> dict[str, float]:
+    """The timed end-to-end metrics from set-up times and operation latencies."""
+    samples = sorted(latencies)
+    return {
+        "setup_s": statistics.median(setup_times),
+        "throughput_ops_s": sum(weights) / sum(latencies),
+        "latency_p50_ms": percentile(samples, 50) * 1000.0,
+        "latency_tail_ms": percentile(samples, tail_p) * 1000.0,
+    }
 
 
 def layer_metrics(t, items: int, is_scoring: bool) -> dict[str, float]:
@@ -220,15 +279,15 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str, data: Path
     recorded = SPEC["recorded"].get(str(seed), {}).get(name) if size == "default" else None
     t = tracing.Tracer() if trace else None
 
-    setup_times, state = timed_setup(workload, t)
+    setup_times, setup_readings, state = timed_setup(workload, t)
 
     # Pass 0: the seed's own dataset, traced in a traced run.
     if trace:
         with t.installed():
-            traced, traced_items, first = closed_loop(workload, state, tracer=t)
-        latencies, items = [], 0
+            *traced, first = closed_loop(workload, state, tracer=t)
+        latencies, weights, readings = [], [], []
     else:
-        latencies, items, first = closed_loop(workload, state)
+        latencies, weights, readings, first = closed_loop(workload, state)
     attempted = len(first)
     bad = failures(workload, state, first)
     pass_digest = digest(first)
@@ -240,7 +299,7 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str, data: Path
 
     details: dict = {}
     if trace:
-        layers = layer_metrics(t, traced_items, name == "eval-test")
+        layers = layer_metrics(t, sum(traced[1]), name == "eval-test")
         layers["cli.evaluate_overhead_s"] = 0.0
         if name == "eval-test":
             # The paper's whole-file report, beside the chunk reports that
@@ -265,9 +324,10 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str, data: Path
             workload = make(pass_data, pass_seed(seed, k))
             gc.collect()
             state = workload.setup()
-            lat, n_items, outputs = closed_loop(workload, state, seconds - sum(latencies))
+            lat, wts, rds, outputs = closed_loop(workload, state, seconds - sum(latencies))
             latencies += lat
-            items += n_items
+            weights += wts
+            readings += rds
             attempted += len(outputs)
             n_failed += len(failures(workload, state, outputs))
             state = None
@@ -275,19 +335,21 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str, data: Path
             shutil.rmtree(pass_data, ignore_errors=True)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    samples = sorted(latencies)
     tail_p = spec["tail_percentile"]
+    scaled = at_reference_speed(latencies, readings)
     details.update({
         "workload": name,
         "seed": seed,
         "size": size,
         "loop": "closed, 1 client",
         "passes": 1 + k,
-        "timed_ops": len(samples),
+        "timed_ops": len(latencies),
         "throughput_unit": f"{workload.item}s/s",
         "tail_percentile": tail_p,
-        "tail_samples_beyond": len(samples) - max(1, math.ceil(tail_p / 100.0 * len(samples))),
+        "tail_samples_beyond": len(latencies) - max(1, math.ceil(tail_p / 100.0 * len(latencies))),
         "setup_s_reps": setup_times,
+        "speed_reading_median_s": statistics.median(readings + setup_readings),
+        "as_measured": timings(setup_times, latencies, weights, tail_p),
         "failed_ratio": n_failed / attempted,
         "quality": quality,
         "quality_unit": "ratio",
@@ -297,19 +359,17 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str, data: Path
         "input": json.loads((data / "meta.json").read_text(encoding="utf-8"))["properties"],
     })
     if trace:
-        # Time per work item traced on pass 0 over untraced on later passes.
-        layers["trace.overhead_ratio"] = (sum(traced) / traced_items) / (sum(latencies) / items) - 1.0
+        # Time per work item traced on pass 0 over untraced on later
+        # passes, both at reference speed.
+        traced_latencies, traced_weights, traced_readings = traced
+        traced_cost = sum(at_reference_speed(traced_latencies, traced_readings)) / sum(traced_weights)
+        layers["trace.overhead_ratio"] = traced_cost / (sum(scaled) / sum(weights)) - 1.0
         details["trace_file"] = str(trace_file.relative_to(ROOT))
         details["trace_overhead_ratio"] = layers["trace.overhead_ratio"]
         metrics = {m["name"]: {"value": layers[m["name"]], "unit": m["unit"]} for m in CONTRACT["per_layer"]}
     else:
-        values = {
-            "setup_s": statistics.median(setup_times),
-            "throughput_ops_s": items / sum(latencies),
-            "latency_p50_ms": percentile(samples, 50) * 1000.0,
-            "latency_tail_ms": percentile(samples, tail_p) * 1000.0,
-            "peak_rss_mb": peak_rss_mb,
-        }
+        values = timings(at_reference_speed(setup_times, setup_readings), scaled, weights, tail_p)
+        values["peak_rss_mb"] = peak_rss_mb
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in CONTRACT["end_to_end"]}
     result = {"correct": n_failed == 0, "attempted": attempted, "failed": n_failed, "metrics": metrics}
     return details, result

@@ -73,6 +73,12 @@ def test_tiny_run_prints_every_metric_with_its_unit_and_no_failure(workload, tra
     assert {name: m["unit"] for name, m in result["metrics"].items()} == {m["name"]: m["unit"] for m in declared}
     if not trace:
         assert all(m["value"] > 0 for m in result["metrics"].values())
+        assert set(details["as_measured"]) < set(result["metrics"])
+        assert all(v > 0 for v in details["as_measured"].values())
+
+
+def test_reference_speed_scales_each_time_by_its_own_reading():
+    assert run.at_reference_speed([0.2, 0.3], [run.REFERENCE_READING_S * 2, run.REFERENCE_READING_S / 2]) == pytest.approx([0.1, 0.6])
 
 
 def test_refuses_to_run_without_the_program(tmp_path):
