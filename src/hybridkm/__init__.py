@@ -10,7 +10,6 @@ from .belief import (
     RUK_SLOT,
     DsvTriple,
     ExtendedBeliefState,
-    carry_over,
     extend_label,
     normalize_state,
     normalize_text,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import ConflictError, FormatError, InvariantError
 
 if TYPE_CHECKING:
-    from .corpus import Document, TurnKind
+    from .corpus import Document
 
 RUK_SLOT = "ruk"
 RUK_DOMAINS = frozenset({"restaurant", "hotel", "taxi", "train"})
@@ -130,18 +130,6 @@ def extend_label(
     entity = normalize_text(document.entity) if document.entity else NO_ENTITY
     ruk = DsvTriple(domain=document.domain, slot=RUK_SLOT, value=entity)
     return ExtendedBeliefState(triples=triples + (ruk,), topic=tuple(topic_words))
-
-
-def carry_over(prev: ExtendedBeliefState, kind: "TurnKind | str") -> ExtendedBeliefState:
-    """Carry the previous state into the next turn.
-
-    The non-ruk triples are preserved as-is for both turn kinds: turns
-    grounded on unstructured knowledge never update them, and for original
-    turns the updates are applied by the external tracker, not here.  The
-    ruk triple and topic are per-turn and always cleared.
-    """
-    del kind  # both kinds reset the per-turn extension; kept for the call contract
-    return ExtendedBeliefState(triples=prev.non_ruk_triples)
 
 
 def _canonical_value(value: str, canon_map: Mapping[str, str]) -> str:

@@ -64,7 +64,3 @@ class DuplicateDocError(HybridKmError):
 class MissingIndexError(HybridKmError):
     """A command that needs a topic index was run without one."""
 
-
-# Persistence errors surface as the standard OS-level exception; Python 3
-# already aliases IOError to OSError.
-IoError = OSError

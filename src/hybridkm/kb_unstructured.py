@@ -113,13 +113,22 @@ def top_candidates(tokens: Sequence[str], model: TfIdfModel, k: int = DEFAULT_TO
     return scored[:k]
 
 
-def ca_tfidf(word: str, candidates_per_doc: Iterable[Sequence[TopicCandidate]], entity_count: int) -> float:
-    """Corpus-adjusted score: summed TF-IDF over every document where
-    ``word`` is a candidate, divided by the domain's entity group count."""
+def _ca_scores(candidates_per_doc: Iterable[Sequence[TopicCandidate]], entity_count: int) -> dict[str, float]:
+    """Corpus-adjusted score of every candidate word in a domain: its
+    TF-IDF summed over every document where it is a candidate, divided by
+    the domain's entity group count."""
     if entity_count < 1:
         raise ValueError(f"entity_count must be >= 1, got {entity_count}")
-    total = sum(c.score for cands in candidates_per_doc for c in cands if c.word == word)
-    return total / entity_count
+    totals: dict[str, float] = {}
+    for cands in candidates_per_doc:
+        for c in cands:
+            totals[c.word] = totals.get(c.word, 0.0) + c.score
+    return {w: total / entity_count for w, total in totals.items()}
+
+
+def ca_tfidf(word: str, candidates_per_doc: Iterable[Sequence[TopicCandidate]], entity_count: int) -> float:
+    """Corpus-adjusted score of one word; 0 when it is no candidate."""
+    return _ca_scores(candidates_per_doc, entity_count).get(word, 0.0)
 
 
 @dataclass
@@ -181,11 +190,7 @@ def build_index(
         cands = [top_candidates(tokens, model, top_k) for tokens in token_lists]
 
         group_count = max(1, sum(1 for d, _ in base.groups if d == domain))
-        scores: dict[str, float] = {}
-        for per_doc in cands:
-            for c in per_doc:
-                scores[c.word] = scores.get(c.word, 0.0) + c.score
-        scores = {w: s / group_count for w, s in scores.items()}
+        scores = _ca_scores(cands, group_count)
 
         cutoff = thresholds.for_domain(domain)
         for doc, per_doc in zip(docs, cands):

@@ -34,7 +34,7 @@ from .belief import (
     normalize_text,
     parse_state,
 )
-from .corpus import Database, DbEntry, Dialog, DialogCorpus, GoalSpec, Ontology, TurnKind
+from .corpus import Database, DbEntry, DialogCorpus, GoalSpec, Ontology, Turn, TurnKind
 from .errors import (
     DuplicateDocError,
     DuplicateIdError,
@@ -46,6 +46,7 @@ from .errors import (
     UnknownDomainError,
 )
 from .kb_structured import query
+from .retrieval import lcs_length
 
 METEOR_ALPHA = 0.9
 METEOR_BETA = 3.0
@@ -97,29 +98,22 @@ def load_predictions(path) -> list[TurnPrediction]:
             raise FormatError(
                 f"{path}: record {i} ({dialog_id} turn {turn_index}): {exc}", exc.offset
             ) from exc
+        ranked_docs = obj.get("ranked_docs", [])
+        if not isinstance(ranked_docs, list) or not all(isinstance(d, str) for d in ranked_docs):
+            raise SchemaError(
+                f"{path}: record {i} ({dialog_id} turn {turn_index}): "
+                "ranked_docs must be a list of document ids"
+            )
         predictions.append(
             TurnPrediction(
                 dialog_id=dialog_id,
                 turn_index=turn_index,
                 state=state,
-                ranked_docs=tuple(obj.get("ranked_docs", ())),
+                ranked_docs=tuple(ranked_docs),
                 response=str(obj.get("response", "")),
             )
         )
     return predictions
-
-
-def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Longest common subsequence length over arbitrary token sequences."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], int]:
@@ -128,6 +122,44 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], int]:
         gram = tuple(tokens[i : i + n])
         counts[gram] = counts.get(gram, 0) + 1
     return counts
+
+
+#: One pair's BLEU statistics: clipped n-gram matches for orders 1..4,
+#: candidate n-gram totals for orders 1..4, then the candidate and reference
+#: lengths.  All integers, so their sum over any set of pairs is exact.
+_BleuStats = tuple[int, ...]
+
+
+def _bleu_stats(candidate: str, reference: str) -> _BleuStats:
+    cand = metric_tokenize(candidate)
+    ref = metric_tokenize(reference)
+    clipped = []
+    totals = []
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        ref_grams = _ngram_counts(ref, n)
+        clipped.append(sum(min(c, ref_grams.get(g, 0)) for g, c in _ngram_counts(cand, n).items()))
+        totals.append(max(len(cand) - n + 1, 0))
+    return (*clipped, *totals, len(cand), len(ref))
+
+
+def _bleu_score(stats: Sequence[_BleuStats], smoothing: bool) -> float:
+    """Corpus BLEU-4 from the statistics of its pairs, summed."""
+    summed = [sum(column) for column in zip(*stats)] or [0] * (2 * BLEU_MAX_ORDER + 2)
+    clipped = summed[:BLEU_MAX_ORDER]
+    totals = summed[BLEU_MAX_ORDER : 2 * BLEU_MAX_ORDER]
+    cand_len, ref_len = summed[-2:]
+    if cand_len == 0 or clipped[0] == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        num, den = clipped[n - 1], totals[n - 1]
+        if n >= 2 and num == 0:
+            if not smoothing:
+                return 0.0
+            num, den = num + 1, den + 1
+        log_sum += math.log(num / den)
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return 100.0 * bp * math.exp(log_sum / BLEU_MAX_ORDER)
 
 
 def bleu(candidates: Sequence[str], references: Sequence[str], smoothing: bool = True) -> float:
@@ -141,34 +173,7 @@ def bleu(candidates: Sequence[str], references: Sequence[str], smoothing: bool =
         raise LengthMismatchError(
             f"{len(candidates)} candidates vs {len(references)} references"
         )
-    if not candidates:
-        return 0.0
-    clipped = [0] * BLEU_MAX_ORDER
-    totals = [0] * BLEU_MAX_ORDER
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_tokens = metric_tokenize(cand)
-        ref_tokens = metric_tokenize(ref)
-        cand_len += len(cand_tokens)
-        ref_len += len(ref_tokens)
-        for n in range(1, BLEU_MAX_ORDER + 1):
-            cand_grams = _ngram_counts(cand_tokens, n)
-            ref_grams = _ngram_counts(ref_tokens, n)
-            clipped[n - 1] += sum(min(c, ref_grams.get(g, 0)) for g, c in cand_grams.items())
-            totals[n - 1] += max(len(cand_tokens) - n + 1, 0)
-    if cand_len == 0 or clipped[0] == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, BLEU_MAX_ORDER + 1):
-        num, den = clipped[n - 1], totals[n - 1]
-        if n >= 2 and num == 0:
-            if not smoothing:
-                return 0.0
-            num, den = num + 1, den + 1
-        log_sum += math.log(num / den)
-    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return 100.0 * bp * math.exp(log_sum / BLEU_MAX_ORDER)
+    return _bleu_score([_bleu_stats(c, r) for c, r in zip(candidates, references)], smoothing)
 
 
 def _meteor_align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
@@ -250,6 +255,21 @@ def _prediction_map(predictions: Sequence[TurnPrediction]) -> dict[tuple[str, in
     return {(p.dialog_id, p.turn_index): p for p in predictions}
 
 
+def _prediction_for(
+    pred_map: Mapping[tuple[str, int], TurnPrediction], dialog_id: str, turn: Turn
+) -> TurnPrediction:
+    pred = pred_map.get((dialog_id, turn.index))
+    if pred is None:
+        raise MissingPredictionError(f"no prediction for {dialog_id} turn {turn.index}")
+    return pred
+
+
+def _goal_hit(pred: TurnPrediction, turn: Turn, canon_map: Mapping[str, str] | None) -> bool:
+    """Joint Goal for one original turn: the normalized non-ruk triples of
+    the predicted and gold states are equal."""
+    return _normalized_triples(pred.state, canon_map) == _normalized_triples(turn.state, canon_map)
+
+
 def joint_goal(
     predictions: Sequence[TurnPrediction],
     corpus: DialogCorpus,
@@ -258,19 +278,13 @@ def joint_goal(
     """Percentage of original turns whose normalized non-ruk triples match
     the gold state exactly."""
     pred_map = _prediction_map(predictions)
-    total = 0
-    correct = 0
-    for dialog in corpus:
-        for turn in dialog.turns:
-            if turn.kind is not TurnKind.ORIGINAL:
-                continue
-            pred = pred_map.get((dialog.id, turn.index))
-            if pred is None:
-                raise MissingPredictionError(f"no prediction for {dialog.id} turn {turn.index}")
-            total += 1
-            if _normalized_triples(pred.state, canon_map) == _normalized_triples(turn.state, canon_map):
-                correct += 1
-    return 100.0 * correct / total if total else 0.0
+    hits = [
+        _goal_hit(_prediction_for(pred_map, dialog.id, turn), turn, canon_map)
+        for dialog in corpus
+        for turn in dialog.turns
+        if turn.kind is TurnKind.ORIGINAL
+    ]
+    return _percent(hits)
 
 
 def _has_entity_slot(entries: Sequence[DbEntry]) -> bool:
@@ -415,69 +429,72 @@ def combined_score(inform: float, success: float, bleu_value: float) -> float:
     return (inform + success) * 0.5 + bleu_value
 
 
-def _aggregate(
-    dialogs: Sequence[Dialog],
-    pred_map: Mapping[tuple[str, int], TurnPrediction],
-    db: Database | None,
-    ontology: Ontology | None,
-    delex: bool,
+def _percent(values: Sequence[float]) -> float:
+    return 100.0 * sum(values) / len(values) if values else 0.0
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+@dataclass(frozen=True)
+class _TurnScore:
+    """Every per-turn result, computed once and shared by each group the
+    turn belongs to: the whole corpus, its split and its kind."""
+
+    split: str
+    kind: TurnKind
+    bleu_stats: _BleuStats
+    meteor: float
+    rouge_l: float
+    goal_hit: bool = False  # original turns
+    mrr5: float = 0.0  # inserted turns
+    r1: int = 0  # inserted turns
+
+
+def _score_turn(
+    split: str, turn: Turn, pred: TurnPrediction, canon_map: Mapping[str, str] | None
+) -> _TurnScore:
+    original = turn.kind is TurnKind.ORIGINAL
+    return _TurnScore(
+        split=split,
+        kind=turn.kind,
+        bleu_stats=_bleu_stats(pred.response, turn.response),
+        meteor=meteor(pred.response, turn.response),
+        rouge_l=rouge_l(pred.response, turn.response),
+        goal_hit=original and _goal_hit(pred, turn, canon_map),
+        mrr5=0.0 if original else mrr_at_k(pred.ranked_docs, turn.doc_id),
+        r1=0 if original else r_at_1(pred.ranked_docs, turn.doc_id),
+    )
+
+
+def _summary(
+    turns: Sequence[_TurnScore],
+    verdicts: Sequence[tuple[str, bool, bool]],
+    n_dialogs: int,
     smoothing: bool,
-    canon_map: Mapping[str, str] | None,
 ) -> dict:
-    candidates = []
-    references = []
-    meteor_scores = []
-    rouge_scores = []
-    jg_total = jg_correct = 0
-    mrr_scores = []
-    r1_scores = []
-    informs = []
-    successes = []
-    n_turns = n_original = n_inserted = 0
-    for dialog in dialogs:
-        turn_preds = []
-        for turn in dialog.turns:
-            pred = pred_map.get((dialog.id, turn.index))
-            if pred is None:
-                raise MissingPredictionError(f"no prediction for {dialog.id} turn {turn.index}")
-            turn_preds.append(pred)
-            n_turns += 1
-            candidates.append(pred.response)
-            references.append(turn.response)
-            meteor_scores.append(meteor(pred.response, turn.response))
-            rouge_scores.append(rouge_l(pred.response, turn.response))
-            if turn.kind is TurnKind.ORIGINAL:
-                n_original += 1
-                jg_total += 1
-                if _normalized_triples(pred.state, canon_map) == _normalized_triples(
-                    turn.state, canon_map
-                ):
-                    jg_correct += 1
-            else:
-                n_inserted += 1
-                mrr_scores.append(mrr_at_k(pred.ranked_docs, turn.doc_id))
-                r1_scores.append(float(r_at_1(pred.ranked_docs, turn.doc_id)))
-        if db is not None and ontology is not None:
-            inf, suc = inform_success(turn_preds, dialog.goal, db, ontology, delex=delex)
-            informs.append(float(inf))
-            successes.append(float(suc))
-    bleu_value = bleu(candidates, references, smoothing=smoothing)
-    inform_pct = 100.0 * sum(informs) / len(informs) if informs else 0.0
-    success_pct = 100.0 * sum(successes) / len(successes) if successes else 0.0
+    # Means are sum() over the turns in corpus order, as a per-group
+    # rescoring would add them, so every figure is exact for its group.
+    original = [t for t in turns if t.kind is TurnKind.ORIGINAL]
+    inserted = [t for t in turns if t.kind is not TurnKind.ORIGINAL]
+    inform_pct = _percent([inform for _, inform, _ in verdicts])
+    success_pct = _percent([success for _, _, success in verdicts])
+    bleu_value = _bleu_score([t.bleu_stats for t in turns], smoothing)
     return {
         "inform": inform_pct,
         "success": success_pct,
         "bleu": bleu_value,
-        "meteor": 100.0 * sum(meteor_scores) / len(meteor_scores) if meteor_scores else 0.0,
-        "rouge_l": 100.0 * sum(rouge_scores) / len(rouge_scores) if rouge_scores else 0.0,
+        "meteor": _percent([t.meteor for t in turns]),
+        "rouge_l": _percent([t.rouge_l for t in turns]),
         "combined": combined_score(inform_pct, success_pct, bleu_value),
-        "joint_goal": 100.0 * jg_correct / jg_total if jg_total else 0.0,
-        "mrr5": sum(mrr_scores) / len(mrr_scores) if mrr_scores else 0.0,
-        "r1": sum(r1_scores) / len(r1_scores) if r1_scores else 0.0,
-        "n_dialogs": len(dialogs),
-        "n_turns": n_turns,
-        "n_original": n_original,
-        "n_inserted": n_inserted,
+        "joint_goal": _percent([t.goal_hit for t in original]),
+        "mrr5": _mean([t.mrr5 for t in inserted]),
+        "r1": _mean([t.r1 for t in inserted]),
+        "n_dialogs": n_dialogs,
+        "n_turns": len(turns),
+        "n_original": len(original),
+        "n_inserted": len(inserted),
     }
 
 
@@ -498,37 +515,39 @@ def evaluate(
     (they stay 0 when no database/ontology is supplied).  METEOR and
     ROUGE-L are averaged over turns and reported on the 0-100 scale;
     MRR@5 and R@1 stay on [0, 1].
+
+    Dialogs are scored once, in id order; ``by_split`` and ``by_kind`` are
+    sub-aggregates of the same per-turn scores, with BLEU from summed
+    n-gram counts.
     """
     pred_map = _prediction_map(predictions)
     dialogs = sorted(corpus, key=lambda d: d.id)
-    overall = _aggregate(dialogs, pred_map, db, ontology, delex, bleu_smoothing, canon_map)
+    turns: list[_TurnScore] = []
+    verdicts: list[tuple[str, bool, bool]] = []  # (split, inform, success) per dialog
+    for dialog in dialogs:
+        turn_preds = []
+        for turn in dialog.turns:
+            pred = _prediction_for(pred_map, dialog.id, turn)
+            turn_preds.append(pred)
+            turns.append(_score_turn(dialog.split, turn, pred, canon_map))
+        if db is not None and ontology is not None:
+            inform, success = inform_success(turn_preds, dialog.goal, db, ontology, delex=delex)
+            verdicts.append((dialog.split, inform, success))
 
+    overall = _summary(turns, verdicts, len(dialogs), bleu_smoothing)
     by_split = {}
     for split in sorted({d.split for d in dialogs}):
-        subset = [d for d in dialogs if d.split == split]
-        by_split[split] = _aggregate(subset, pred_map, db, ontology, delex, bleu_smoothing, canon_map)
-
+        by_split[split] = _summary(
+            [t for t in turns if t.split == split],
+            [v for v in verdicts if v[0] == split],
+            sum(1 for d in dialogs if d.split == split),
+            bleu_smoothing,
+        )
     by_kind = {}
     for kind in TurnKind:
-        cands = []
-        refs = []
-        met = []
-        rou = []
-        for dialog in dialogs:
-            for turn in dialog.turns:
-                if turn.kind is not kind:
-                    continue
-                pred = pred_map[(dialog.id, turn.index)]
-                cands.append(pred.response)
-                refs.append(turn.response)
-                met.append(meteor(pred.response, turn.response))
-                rou.append(rouge_l(pred.response, turn.response))
-        if cands:
-            by_kind[kind.value] = {
-                "n_turns": len(cands),
-                "bleu": bleu(cands, refs, smoothing=bleu_smoothing),
-                "meteor": 100.0 * sum(met) / len(met),
-                "rouge_l": 100.0 * sum(rou) / len(rou),
-            }
+        of_kind = [t for t in turns if t.kind is kind]
+        if of_kind:
+            summary = _summary(of_kind, (), 0, bleu_smoothing)
+            by_kind[kind.value] = {key: summary[key] for key in ("n_turns", "bleu", "meteor", "rouge_l")}
 
     return EvalReport(by_split=by_split, by_kind=by_kind, **overall)

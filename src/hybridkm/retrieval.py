@@ -25,17 +25,22 @@ BM25_B = 0.75
 DEFAULT_TOP_N = 5
 
 
-def _lcs_length_bits(a: str, b: str) -> int:
-    # Bit-parallel LCS (Allison-Dix): one machine word column per character
-    # of b, so runtime is O(|a| * |b| / wordsize).
+def lcs_length(a: Sequence, b: Sequence) -> int:
+    """Longest common subsequence length of two sequences of hashable items
+    (characters of a string, tokens of a sentence).
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit i of ``row`` stands
+    for position i of ``a``, so each item of ``b`` costs a few big-int
+    operations and the runtime is O(|a| * |b| / wordsize).
+    """
     if not a or not b:
         return 0
-    masks: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        masks[ch] = masks.get(ch, 0) | (1 << i)
+    masks: dict = {}
+    for i, item in enumerate(a):
+        masks[item] = masks.get(item, 0) | (1 << i)
     row = 0
-    for ch in b:
-        t = row | masks.get(ch, 0)
+    for item in b:
+        t = row | masks.get(item, 0)
         row = t & ~(t - ((row << 1) | 1))
     return row.bit_count()
 
@@ -48,7 +53,7 @@ def fuzzy_ratio(a: str, b: str) -> float:
     """
     if not a and not b:
         return 1.0
-    return 2.0 * _lcs_length_bits(a, b) / (len(a) + len(b))
+    return 2.0 * lcs_length(a, b) / (len(a) + len(b))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from hybridkm import (
     ExtendedBeliefState,
     FormatError,
     InvariantError,
-    carry_over,
     extend_label,
     normalize_state,
     normalize_text,
@@ -101,15 +100,6 @@ def test_extend_label_refuses_double_extension():
     extended = extend_label(make_state(), (doc, ("refund",)))
     with pytest.raises(ConflictError):
         extend_label(extended, (doc, ("refund",)))
-
-
-@pytest.mark.parametrize("kind", ["original", "inserted"])
-def test_carry_over_clears_ruk_and_topic(kind):
-    state = make_state(
-        ("hotel", "area", "west"), ("hotel", "ruk", "river inn"), topic=("pets",)
-    )
-    carried = carry_over(state, kind)
-    assert carried == make_state(("hotel", "area", "west"))
 
 
 def test_normalize_state_lowercases_and_canonicalizes():

@@ -470,6 +470,19 @@ def test_evaluate_incomplete_predictions(capsys, tmp_path, paths, pred_path):
     assert payload["error"]["type"] == "MissingPredictionError"
 
 
+def test_evaluate_rejects_ranked_docs_string(capsys, tmp_path, paths, pred_path):
+    records = json.loads(pred_path.read_text(encoding="utf-8"))
+    records[0]["ranked_docs"] = "abc"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(records), encoding="utf-8")
+    rc, payload, _ = run(
+        capsys, "evaluate", "--corpus", paths["corpus"], "--predictions", str(bad)
+    )
+    assert rc == 1
+    assert payload["error"]["type"] == "SchemaError"
+    assert "record 0" in payload["error"]["message"]
+
+
 def test_evaluate_db_without_ontology_warns(capsys, paths, pred_path):
     rc, payload, err = run(
         capsys,

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
+from hybridkm import metrics, retrieval
 from hybridkm.belief import parse_state
-from hybridkm.corpus import DomainGoal, GoalSpec
+from hybridkm.corpus import DialogCorpus, DomainGoal, GoalSpec
 from hybridkm.errors import (
     DuplicateDocError,
     DuplicateIdError,
@@ -546,3 +547,97 @@ def test_evaluate_mrr_reflects_rank(corpus, db, ontology, gold_predictions):
     report = evaluate(corpus, preds, db=db, ontology=ontology)
     assert report.mrr5 == pytest.approx((5 * 1.0 + 0.5) / 6)
     assert report.r1 == pytest.approx(5 / 6)
+
+
+# ---------------------------------------------------------------------------
+# evaluate on imperfect predictions: golden reports and exact sub-aggregates
+
+
+@pytest.fixture(scope="module")
+def imperfect(data_dir):
+    # Hand-written predictions with wrong states, responses and rankings.
+    # The golden reports beside them were written by the earlier evaluate,
+    # which rescored every turn per group, so they pin the report to the byte.
+    return load_predictions(data_dir / "predictions_imperfect.json")
+
+
+@pytest.mark.parametrize("mode", ["delex", "lexical"])
+def test_evaluate_report_matches_golden(data_dir, corpus, db, ontology, imperfect, mode):
+    report = evaluate(corpus, imperfect, db=db, ontology=ontology, delex=mode == "delex")
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (data_dir / f"report_imperfect_{mode}.json").read_text(encoding="utf-8")
+
+
+def test_evaluate_groups_equal_public_metrics_on_their_subset(corpus, db, ontology, imperfect):
+    report = evaluate(corpus, imperfect, db=db, ontology=ontology)
+    pred_map = {(p.dialog_id, p.turn_index): p for p in imperfect}
+    dialogs = sorted(corpus, key=lambda d: d.id)
+
+    def response_metrics(pairs):
+        cands = [p.response for p, _ in pairs]
+        refs = [t.response for _, t in pairs]
+        return {
+            "n_turns": len(pairs),
+            "bleu": bleu(cands, refs),
+            "meteor": 100.0 * sum(meteor(c, r) for c, r in zip(cands, refs)) / len(pairs),
+            "rouge_l": 100.0 * sum(rouge_l(c, r) for c, r in zip(cands, refs)) / len(pairs),
+        }
+
+    for kind in ("original", "inserted"):
+        pairs = [
+            (pred_map[(d.id, t.index)], t) for d in dialogs for t in d.turns if t.kind.value == kind
+        ]
+        assert report.by_kind[kind] == response_metrics(pairs)
+
+    for split, got in report.by_split.items():
+        subset = [d for d in dialogs if d.split == split]
+        pairs = [(pred_map[(d.id, t.index)], t) for d in subset for t in d.turns]
+        inserted = [(p, t) for p, t in pairs if t.kind.value == "inserted"]
+        verdicts = [
+            inform_success([pred_map[(d.id, t.index)] for t in d.turns], d.goal, db, ontology)
+            for d in subset
+        ]
+        inform = 100.0 * sum(i for i, _ in verdicts) / len(verdicts)
+        success = 100.0 * sum(s for _, s in verdicts) / len(verdicts)
+        expected = response_metrics(pairs)
+        expected.update(
+            inform=inform,
+            success=success,
+            combined=combined_score(inform, success, expected["bleu"]),
+            joint_goal=joint_goal(imperfect, DialogCorpus({d.id: d for d in subset})),
+            mrr5=sum(mrr_at_k(p.ranked_docs, t.doc_id) for p, t in inserted) / len(inserted),
+            r1=sum(r_at_1(p.ranked_docs, t.doc_id) for p, t in inserted) / len(inserted),
+            n_dialogs=len(subset),
+            n_original=len(pairs) - len(inserted),
+            n_inserted=len(inserted),
+        )
+        assert got == expected, split
+
+
+def test_evaluate_scores_each_turn_once(monkeypatch, corpus, db, ontology, imperfect):
+    calls = []
+    real = metrics.meteor
+
+    def counted(candidate, reference):
+        calls.append(candidate)
+        return real(candidate, reference)
+
+    monkeypatch.setattr(metrics, "meteor", counted)
+    report = evaluate(corpus, imperfect, db=db, ontology=ontology)
+    assert len(calls) == report.n_turns == 18
+
+
+def test_metrics_and_retrieval_share_one_lcs_routine():
+    assert metrics.lcs_length is retrieval.lcs_length
+
+
+@pytest.mark.parametrize("ranked_docs", ["abc", [1, 2], ["a", None], {"a": 1}, None])
+def test_load_predictions_rejects_ranked_docs_that_are_not_a_list_of_ids(tmp_path, ranked_docs):
+    p = tmp_path / "preds.json"
+    records = [
+        {"dialog_id": "d", "turn_index": 1, "state": "", "ranked_docs": ["x"]},
+        {"dialog_id": "d", "turn_index": 2, "state": "", "ranked_docs": ranked_docs},
+    ]
+    p.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"record 1 \(d turn 2\).*ranked_docs"):
+        load_predictions(p)
