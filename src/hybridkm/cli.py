@@ -247,6 +247,8 @@ def cmd_retrieve(args, config: dict) -> dict:
     base = load_document_base(docs_path)
     method = args.method or config["retrieval"]["method"]
     k = args.k if args.k is not None else config["retrieval"]["k"]
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise SchemaError(f"retrieval k must be an integer >= 1, got {k!r}")
     inputs: dict[str, object] = {"docs": docs_path}
 
     if method == "topic":

@@ -231,9 +231,15 @@ def _parse_goal(obj, dialog_id: str, ontology: Ontology | None) -> GoalSpec:
     for domain, spec in obj.items():
         if ontology is not None and domain not in ontology.domains:
             raise SchemaError(f"{ctx}: goal domain {domain!r} not in ontology")
-        constraints = dict(spec.get("constraints", {}))
-        requests = tuple(spec.get("requests", ()))
-        domains[domain] = DomainGoal(constraints=constraints, requests=requests)
+        if not isinstance(spec, dict):
+            raise SchemaError(f"{ctx}: goal for domain {domain!r} must be an object")
+        constraints = spec.get("constraints", {})
+        if not isinstance(constraints, dict):
+            raise SchemaError(f"{ctx}: goal constraints for domain {domain!r} must be an object")
+        requests = spec.get("requests", [])
+        if not isinstance(requests, list) or not all(isinstance(r, str) for r in requests):
+            raise SchemaError(f"{ctx}: goal requests for domain {domain!r} must be a list of strings")
+        domains[domain] = DomainGoal(constraints=dict(constraints), requests=tuple(requests))
     return GoalSpec(domains=domains)
 
 
@@ -250,8 +256,16 @@ def load_corpus(path, schema_version: str = CORPUS_SCHEMA_VERSION, ontology: Ont
     found = data.get("schema_version")
     if found != schema_version:
         raise SchemaError(f"{path}: schema_version {found!r} != expected {schema_version!r}")
+    raw_dialogs = _require(data, "dialogs", str(path))
+    if not isinstance(raw_dialogs, list):
+        raise SchemaError(f"{path}: dialogs must be a JSON list")
+    # Take the parsed dialogs off the list front to back, so that each one's
+    # JSON is freed once converted: the peak stays near the size of the
+    # result instead of the result plus the whole parse tree.
+    raw_dialogs.reverse()
     dialogs: dict[str, Dialog] = {}
-    for obj in _require(data, "dialogs", str(path)):
+    while raw_dialogs:
+        obj = raw_dialogs.pop()
         dialog_id = str(_require(obj, "id", str(path)))
         if dialog_id in dialogs:
             raise DuplicateIdError(f"duplicate dialog id {dialog_id!r}")

@@ -15,6 +15,9 @@ Topics are picked per document in three steps, all within a single domain:
 Every document therefore ends up with one to three topic words.  The
 resulting index is written as versioned, canonically ordered JSON so that
 rebuilding from the same inputs yields a byte-identical file.
+
+``TermIndex`` holds the postings and document statistics that the TF-IDF
+and BM25 retrieval baselines score through; it lives in memory only.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DocumentBase
+from .corpus import Document, DocumentBase
 from .errors import EmptyCorpusError, InvariantError, ParseError, UnknownDomainError, VersionError
 
 INDEX_VERSION = "1"
@@ -92,6 +95,81 @@ def fit_tfidf(token_lists: Sequence[Sequence[str]]) -> TfIdfModel:
         for word in set(tokens):
             df[word] = df.get(word, 0) + 1
     return TfIdfModel(n_docs=len(token_lists), df=df)
+
+
+def term_counts(tokens: Iterable[str]) -> dict[str, int]:
+    """Occurrences of each word, in first-occurrence order."""
+    counts: dict[str, int] = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def tfidf_weights(counts: Mapping[str, int], model: TfIdfModel) -> dict[str, float]:
+    """Count times idf for each word with a non-zero idf, in ``counts`` order."""
+    return {w: c * model.idf(w) for w, c in counts.items() if model.idf(w) > 0.0}
+
+
+def vector_norm(weights: Mapping[str, float]) -> float:
+    """Euclidean norm, summed in ``weights`` order."""
+    return math.sqrt(sum(v * v for v in weights.values()))
+
+
+@dataclass(frozen=True)
+class TermIndex:
+    """Term statistics of a fixed sequence of documents, for the TF-IDF and
+    BM25 baselines.
+
+    Documents are known by their position in ``doc_ids``.  ``postings`` maps
+    each word to two parallel lists: the positions of the documents that
+    contain it, ascending, and its count in each.
+    """
+
+    doc_ids: tuple[str, ...]
+    postings: Mapping[str, tuple[list[int], list[int]]]
+    model: TfIdfModel
+    lengths: list[int]
+    avg_len: float
+    #: Euclidean norm of each document's TF-IDF weights.
+    norms: list[float]
+    _length_norms: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def length_norms(self, k1: float, b: float) -> list[float]:
+        """BM25's ``k1 * (1 - b + b * len / avg_len)`` for each document."""
+        norms = self._length_norms.get((k1, b))
+        if norms is None:
+            avg_len = self.avg_len
+            norms = [k1 * (1 - b + b * (n / avg_len)) if avg_len else k1 for n in self.lengths]
+            self._length_norms[k1, b] = norms
+        return norms
+
+
+def build_term_index(docs: Sequence[Document]) -> TermIndex:
+    """Tokenize each document once and collect its postings, lengths and norm."""
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    lengths: list[int] = []
+    doc_counts: list[dict[str, int]] = []
+    for pos, doc in enumerate(docs):
+        tokens = tokenize(doc.body)
+        lengths.append(len(tokens))
+        counts = term_counts(tokens)
+        for word, count in counts.items():
+            entry = postings.get(word)
+            if entry is None:
+                entry = postings[word] = ([], [])
+            entry[0].append(pos)
+            entry[1].append(count)
+        doc_counts.append(counts)
+    n = len(docs)
+    model = TfIdfModel(n_docs=n, df={w: len(entry[0]) for w, entry in postings.items()})
+    return TermIndex(
+        doc_ids=tuple(d.id for d in docs),
+        postings=postings,
+        model=model,
+        lengths=lengths,
+        avg_len=sum(lengths) / n if n else 0.0,
+        norms=[vector_norm(tfidf_weights(counts, model)) for counts in doc_counts],
+    )
 
 
 def tfidf(word: str, tokens: Sequence[str], model: TfIdfModel) -> float:

@@ -86,8 +86,12 @@ def load_predictions(path) -> list[TurnPrediction]:
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or "dialog_id" not in obj or "turn_index" not in obj:
             raise SchemaError(f"{path}: record {i} must carry dialog_id and turn_index")
-        dialog_id = str(obj["dialog_id"])
-        turn_index = int(obj["turn_index"])
+        dialog_id = obj["dialog_id"]
+        if not isinstance(dialog_id, str):
+            raise SchemaError(f"{path}: record {i}: dialog_id must be a string, got {dialog_id!r}")
+        turn_index = obj["turn_index"]
+        if isinstance(turn_index, bool) or not isinstance(turn_index, int):
+            raise SchemaError(f"{path}: record {i}: turn_index must be an integer, got {turn_index!r}")
         key = (dialog_id, turn_index)
         if key in seen:
             raise DuplicateIdError(f"{path}: duplicate prediction for {dialog_id} turn {turn_index}")

@@ -5,17 +5,33 @@ Topic matching first narrows the document base to the entity referenced by
 the belief state (exact entity name, then fuzzy, then the whole domain) and
 then scores each candidate document by the best fuzzy match between the
 state's topic words and the document's indexed topics.
+
+The baselines score through one term index per document base and domain
+(``kb_unstructured.TermIndex``), built on the first query and dropped with
+the base; only documents in the postings of the context's words are scored.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 from .belief import NO_ENTITY, ExtendedBeliefState, normalize_text
 from .corpus import Document, DocumentBase
-from .kb_unstructured import TfIdfModel, TopicIndex, fit_tfidf, tokenize
+from .kb_unstructured import (
+    TermIndex,
+    TopicIndex,
+    build_term_index,
+    term_counts,
+    tfidf_weights,
+    tokenize,
+    vector_norm,
+)
 
 #: Minimum fuzzy ratio for an entity-name match when no exact group exists.
 FUZZY_ENTITY_THRESHOLD = 0.8
@@ -129,6 +145,7 @@ def topic_match_retrieve(
     triple or an empty topic).  A document's score is its best-matching
     topic word; ties are broken by document id.
     """
+    _check_k(k)
     query = RetrievalQuery.from_state(state)
     if query is None or not query.topic:
         return None
@@ -148,6 +165,40 @@ def _candidate_docs(base: DocumentBase, domain: str | None) -> tuple[Document, .
     return base.domain_documents(domain)
 
 
+#: Term index of each document base and domain, built on first use and
+#: dropped with its base.
+_term_indexes: "weakref.WeakKeyDictionary[DocumentBase, dict[str | None, TermIndex]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _term_index(base: DocumentBase, domain: str | None) -> TermIndex:
+    per_domain = _term_indexes.get(base)
+    if per_domain is None:
+        per_domain = _term_indexes[base] = {}
+    index = per_domain.get(domain)
+    if index is None:
+        index = per_domain[domain] = build_term_index(_candidate_docs(base, domain))
+    return index
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _top_k(index: TermIndex, scores: dict[int, float], k: int) -> tuple[tuple[str, float], ...]:
+    """The ``k`` best (doc id, score) pairs, score descending, ties by doc id;
+    documents without a score fill up the rest with 0.0 in id order."""
+    ids = index.doc_ids
+    best = heapq.nsmallest(k, zip(map(operator.neg, scores.values()), scores))
+    ranking = [(ids[pos], -neg) for neg, pos in best]
+    if len(ranking) < k:
+        unscored = (pos for pos in range(len(ids)) if pos not in scores)
+        ranking.extend((ids[pos], 0.0) for pos in itertools.islice(unscored, k - len(ranking)))
+    return tuple(ranking)
+
+
 def _context_tokens(context: "Sequence[str] | str") -> list[str]:
     if isinstance(context, str):
         context = [context]
@@ -163,32 +214,33 @@ def tfidf_retrieve(
     domain: str | None = None,
     k: int = DEFAULT_TOP_N,
 ) -> RankedRetrieval:
-    """TF-IDF cosine similarity between the dialog context and each document."""
-    docs = _candidate_docs(base, domain)
-    doc_tokens = [tokenize(d.body) for d in docs]
-    model = fit_tfidf(doc_tokens)
-    query = _context_tokens(context)
-    q_vec = _tfidf_vector(query, model)
-    q_norm = math.sqrt(sum(v * v for v in q_vec.values()))
-    scored = []
-    for doc, tokens in zip(docs, doc_tokens):
-        d_vec = _tfidf_vector(tokens, model)
-        d_norm = math.sqrt(sum(v * v for v in d_vec.values()))
-        if q_norm == 0.0 or d_norm == 0.0:
-            score = 0.0
-        else:
-            dot = sum(v * d_vec[w] for w, v in q_vec.items() if w in d_vec)
-            score = dot / (q_norm * d_norm)
-        scored.append((doc.id, score))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return RankedRetrieval(query=None, ranking=tuple(scored[:k]))
+    """TF-IDF cosine similarity between the dialog context and each document.
 
-
-def _tfidf_vector(tokens: Sequence[str], model: TfIdfModel) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    return {w: c * model.idf(w) for w, c in counts.items() if model.idf(w) > 0.0}
+    Only documents that share a word of non-zero idf with the context are
+    scored; every other document scores 0.0.
+    """
+    _check_k(k)
+    index = _term_index(base, domain)
+    model = index.model
+    q_vec = tfidf_weights(term_counts(_context_tokens(context)), model)
+    q_norm = vector_norm(q_vec)
+    # A document's products are kept in context-word order and added by one
+    # sum() call, so its score is the float a dot product over the whole
+    # vectors gives (sum() rounds differently from += on Python >= 3.12).
+    products: dict[int, list[float]] = {}
+    for w, v in q_vec.items():
+        idf = model.idf(w)
+        positions, counts = index.postings[w]
+        for pos, c in zip(positions, counts):
+            x = v * (c * idf)
+            found = products.get(pos)
+            if found is None:
+                products[pos] = [x]
+            else:
+                found.append(x)
+    norms = index.norms
+    scores = {pos: sum(xs) / (q_norm * norms[pos]) for pos, xs in products.items()}
+    return RankedRetrieval(query=None, ranking=_top_k(index, scores, k))
 
 
 def bm25_retrieve(
@@ -202,30 +254,22 @@ def bm25_retrieve(
     """Okapi BM25 over document bodies, summed across context tokens.
 
     Uses the non-negative idf variant ln(1 + (N - df + 0.5) / (df + 0.5));
-    repeated query tokens contribute once per occurrence.
+    repeated query tokens contribute once per occurrence.  Documents that
+    contain no context token score 0.0.
     """
-    docs = _candidate_docs(base, domain)
-    doc_tokens = [tokenize(d.body) for d in docs]
-    n = len(docs)
-    df: dict[str, int] = {}
-    for tokens in doc_tokens:
-        for w in set(tokens):
-            df[w] = df.get(w, 0) + 1
-    avg_len = sum(len(t) for t in doc_tokens) / n if n else 0.0
-    query = _context_tokens(context)
-    scored = []
-    for doc, tokens in zip(docs, doc_tokens):
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        length_norm = k1 * (1 - b + b * (len(tokens) / avg_len)) if avg_len else k1
-        score = 0.0
-        for w in query:
-            tf = counts.get(w, 0)
-            if tf == 0:
-                continue
-            idf = math.log(1.0 + (n - df[w] + 0.5) / (df[w] + 0.5))
-            score += idf * tf * (k1 + 1) / (tf + length_norm)
-        scored.append((doc.id, score))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return RankedRetrieval(query=None, ranking=tuple(scored[:k]))
+    _check_k(k)
+    index = _term_index(base, domain)
+    n = index.model.n_docs
+    df = index.model.df
+    length_norms = index.length_norms(k1, b)
+    # One addition per context token, in context order, from 0.0: the same
+    # float as summing over the context for each document.
+    scores: dict[int, float] = {}
+    for w in _context_tokens(context):
+        entry = index.postings.get(w)
+        if entry is None:
+            continue
+        idf = math.log(1.0 + (n - df[w] + 0.5) / (df[w] + 0.5))
+        for pos, tf in zip(*entry):
+            scores[pos] = scores.get(pos, 0.0) + idf * tf * (k1 + 1) / (tf + length_norms[pos])
+    return RankedRetrieval(query=None, ranking=_top_k(index, scores, k))

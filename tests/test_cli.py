@@ -375,6 +375,53 @@ def test_retrieve_k_limits_ranking(capsys, paths, index_path):
     assert len(payload["ranking"]) == 1
 
 
+@pytest.mark.parametrize("method", ["topic", "tfidf", "bm25"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_retrieve_rejects_k_below_one(capsys, paths, index_path, method, k):
+    rc, payload, _ = run(
+        capsys,
+        "retrieve",
+        "--docs",
+        paths["docs"],
+        "--index",
+        str(index_path),
+        "--method",
+        method,
+        "--k",
+        k,
+        "--state",
+        "restaurant-ruk: alpha bistro | topic: dogs",
+        "--context",
+        "is there parking",
+    )
+    assert rc == 1
+    assert payload["error"]["type"] == "SchemaError"
+    assert f"got {k}" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("k", [True, "5", 2.0, 0, None])
+def test_retrieve_rejects_config_k_that_is_not_a_positive_integer(capsys, tmp_path, paths, k):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"retrieval": {"k": k}}), encoding="utf-8")
+    rc, payload, _ = run(
+        capsys, "--config", str(cfg), "retrieve", "--docs", paths["docs"], "--method", "bm25", "--context", "pool"
+    )
+    assert rc == 1
+    assert payload["error"]["type"] == "SchemaError"
+    assert "k must be an integer >= 1" in payload["error"]["message"]
+
+
+def test_retrieve_flag_k_overrides_config_k(capsys, tmp_path, paths):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"retrieval": {"k": 0}}), encoding="utf-8")
+    rc, payload, _ = run(
+        capsys, "--config", str(cfg), "retrieve", "--docs", paths["docs"], "--method", "tfidf",
+        "--context", "pool", "--k", "3",
+    )
+    assert rc == 0
+    assert len(payload["ranking"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # query-db
 
@@ -481,6 +528,23 @@ def test_evaluate_rejects_ranked_docs_string(capsys, tmp_path, paths, pred_path)
     assert rc == 1
     assert payload["error"]["type"] == "SchemaError"
     assert "record 0" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "field, value", [("turn_index", 1.7), ("turn_index", True), ("turn_index", "one"), ("dialog_id", 7)]
+)
+def test_evaluate_rejects_prediction_keys_of_the_wrong_type(capsys, tmp_path, paths, pred_path, field, value):
+    records = json.loads(pred_path.read_text(encoding="utf-8"))
+    records[0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(records), encoding="utf-8")
+    rc, payload, _ = run(
+        capsys, "evaluate", "--corpus", paths["corpus"], "--predictions", str(bad)
+    )
+    assert rc == 1
+    assert payload["error"]["type"] == "SchemaError"
+    assert "record 0" in payload["error"]["message"]
+    assert field in payload["error"]["message"]
 
 
 def test_evaluate_db_without_ontology_warns(capsys, paths, pred_path):

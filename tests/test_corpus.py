@@ -68,6 +68,19 @@ def test_corpus_rejects_wrong_schema_version(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("dialogs", [{"d1": {}}, "d1", None])
+def test_corpus_dialogs_must_be_a_list(tmp_path, dialogs):
+    path = write_json(tmp_path / "c.json", {"schema_version": "1", "dialogs": dialogs})
+    with pytest.raises(SchemaError, match="dialogs must be a JSON list"):
+        load_corpus(path)
+
+
+def test_corpus_keeps_file_order_of_dialogs(tmp_path):
+    ids = ["d3", "d1", "d2"]
+    path = write_json(tmp_path / "c.json", {"schema_version": "1", "dialogs": [minimal_dialog(i) for i in ids]})
+    assert list(load_corpus(path).dialogs) == ids
+
+
 def test_corpus_rejects_duplicate_dialog_ids(tmp_path):
     obj = {"schema_version": "1", "dialogs": [minimal_dialog(), minimal_dialog()]}
     path = write_json(tmp_path / "c.json", obj)
@@ -138,6 +151,25 @@ def test_goal_domain_checked_against_ontology(tmp_path, ontology):
         load_corpus(path, ontology=ontology)
     # without an ontology the same corpus loads
     assert len(load_corpus(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "goal, message",
+    [
+        ({"hotel": ["x"]}, "goal for domain 'hotel' must be an object"),
+        ({"hotel": "cheap"}, "goal for domain 'hotel' must be an object"),
+        ({"hotel": {"constraints": ["area", "north"]}}, "goal constraints for domain 'hotel' must be an object"),
+        ({"hotel": {"constraints": {}, "requests": "phone"}}, "goal requests for domain 'hotel' must be a list"),
+        ({"hotel": {"requests": ["phone", 3]}}, "goal requests for domain 'hotel' must be a list"),
+    ],
+)
+def test_goal_of_the_wrong_shape_is_a_schema_error(tmp_path, goal, message):
+    dialog = minimal_dialog(dialog_id="d7")
+    dialog["goal"] = goal
+    path = write_json(tmp_path / "c.json", {"schema_version": "1", "dialogs": [dialog]})
+    with pytest.raises(SchemaError, match=message) as exc:
+        load_corpus(path)
+    assert "dialog 'd7'" in str(exc.value)
 
 
 def test_document_base_grouping(base):

@@ -459,6 +459,26 @@ def test_load_predictions_bad_state_keeps_context(tmp_path):
     assert exc.value.offset >= 0
 
 
+@pytest.mark.parametrize("turn_index", [1.7, 1.0, True, "one", "1", None])
+def test_load_predictions_rejects_turn_index_that_is_not_an_integer(tmp_path, turn_index):
+    p = tmp_path / "preds.json"
+    records = [
+        {"dialog_id": "d", "turn_index": 1, "state": ""},
+        {"dialog_id": "d", "turn_index": turn_index, "state": ""},
+    ]
+    p.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"record 1: turn_index must be an integer"):
+        load_predictions(p)
+
+
+@pytest.mark.parametrize("dialog_id", [7, None, ["d"], {"id": "d"}])
+def test_load_predictions_rejects_dialog_id_that_is_not_a_string(tmp_path, dialog_id):
+    p = tmp_path / "preds.json"
+    p.write_text(json.dumps([{"dialog_id": dialog_id, "turn_index": 1, "state": ""}]), encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"record 0: dialog_id must be a string"):
+        load_predictions(p)
+
+
 def test_load_predictions_rejects_non_list(tmp_path):
     p = tmp_path / "preds.json"
     p.write_text("{}", encoding="utf-8")
