@@ -38,7 +38,7 @@ def normalize_text(text: str) -> str:
     return _WS_RE.sub(" ", text.strip()).lower()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DsvTriple:
     domain: str
     slot: str
@@ -49,7 +49,7 @@ class DsvTriple:
         return self.slot == RUK_SLOT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedBeliefState:
     """Immutable belief state: DSV triples plus an optional topic word sequence.
 

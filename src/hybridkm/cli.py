@@ -88,9 +88,19 @@ _DEFAULT_CONFIG: dict = {
     "metrics": {"delex": True, "bleu_smoothing": True},
 }
 
+#: What a config value must be, by the type of its default.  retrieval.k,
+#: the one integer, is checked where it is used, since it must also be >= 1.
+_CONFIG_TYPES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
 
 def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the config file, rejecting unknown keys."""
+    """Defaults overlaid with the config file, rejecting unknown keys and
+    values whose type does not match their default's."""
     config = copy.deepcopy(_DEFAULT_CONFIG)
     if not path:
         return config
@@ -109,6 +119,9 @@ def load_config(path: str | None) -> dict:
         for key, value in values.items():
             if key not in config[section]:
                 raise SchemaError(f"{path}: unknown config key {section}.{key}")
+            rule = _CONFIG_TYPES.get(type(config[section][key]))
+            if rule is not None and not rule[1](value):
+                raise SchemaError(f"{path}: config {section}.{key} must be {rule[0]}, got {value!r}")
             config[section][key] = value
     return config
 

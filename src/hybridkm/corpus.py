@@ -42,7 +42,7 @@ class TurnKind(str, Enum):
     INSERTED = "inserted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     index: int
     user: str
@@ -61,9 +61,6 @@ class DomainGoal:
 @dataclass(frozen=True)
 class GoalSpec:
     domains: Mapping[str, DomainGoal]
-
-    def __bool__(self) -> bool:
-        return bool(self.domains)
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,6 @@ class DbEntry:
 class Database:
     tables: dict[str, tuple[DbEntry, ...]]
 
-    def domains(self) -> tuple[str, ...]:
-        return tuple(sorted(self.tables))
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -178,17 +172,42 @@ def _require(obj: Mapping, key: str, context: str):
     return obj[key]
 
 
-def _parse_state_obj(obj, context: str) -> ExtendedBeliefState:
+#: A JSON state by its content: its triples as (key, value) pairs in file
+#: order, then its topic words.
+_StateKey = tuple[tuple[tuple[str, str], ...], tuple[str, ...]]
+
+
+def _parse_state_obj(obj, context: str, states: dict[_StateKey, ExtendedBeliefState]) -> ExtendedBeliefState:
+    """Validate a JSON state and return its state object.
+
+    ``states`` is the memo of one loader call: equal JSON states get one
+    shared (immutable) object, parsed at their first occurrence.  A state
+    that fails is never stored, so each occurrence raises with its own
+    context.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(f"{context}: state must be an object")
+    raw_triples = _require(obj, "triples", context)
+    if not isinstance(raw_triples, dict):
+        raise SchemaError(f"{context}: state triples must be an object")
+    for key, value in raw_triples.items():
+        if not isinstance(value, str):
+            raise SchemaError(f"{context}: value of triple {key!r} must be a string, got {value!r}")
+    topic = obj.get("topic", [])
+    if not isinstance(topic, list) or not all(isinstance(w, str) for w in topic):
+        raise SchemaError(f"{context}: state topic must be a list of strings, got {topic!r}")
+    state_key = (tuple(raw_triples.items()), tuple(topic))
+    state = states.get(state_key)
+    if state is not None:
+        return state
     triples = []
-    for key, value in _require(obj, "triples", context).items():
+    for key, value in raw_triples.items():
         domain, dash, slot = key.partition("-")
         if not dash or not domain or not slot:
             raise SchemaError(f"{context}: bad triple key {key!r} (expected domain-slot)")
-        triples.append(DsvTriple(domain, slot, str(value)))
-    topic = tuple(obj.get("topic", ()))
-    return ExtendedBeliefState(triples=tuple(triples), topic=topic)
+        triples.append(DsvTriple(domain, slot, value))
+    state = states[state_key] = ExtendedBeliefState(triples=tuple(triples), topic=tuple(topic))
+    return state
 
 
 def _state_to_obj(state: ExtendedBeliefState) -> dict:
@@ -198,7 +217,7 @@ def _state_to_obj(state: ExtendedBeliefState) -> dict:
     return obj
 
 
-def _parse_turn(obj, dialog_id: str) -> Turn:
+def _parse_turn(obj, dialog_id: str, states: dict[_StateKey, ExtendedBeliefState]) -> Turn:
     ctx = f"dialog {dialog_id!r}"
     index = _require(obj, "index", ctx)
     if not isinstance(index, int) or index < 1:
@@ -213,12 +232,16 @@ def _parse_turn(obj, dialog_id: str) -> Turn:
         raise SchemaError(f"{ctx}: inserted turn {index} has no doc_id")
     if kind is TurnKind.ORIGINAL and doc_id is not None:
         raise SchemaError(f"{ctx}: original turn {index} must not carry doc_id")
+    for name in ("user", "response"):
+        text = _require(obj, name, ctx)
+        if not isinstance(text, str):
+            raise SchemaError(f"{ctx} turn {index}: {name} must be a string, got {text!r}")
     return Turn(
         index=index,
-        user=str(_require(obj, "user", ctx)),
-        response=str(_require(obj, "response", ctx)),
+        user=obj["user"],
+        response=obj["response"],
         kind=kind,
-        state=_parse_state_obj(_require(obj, "state", ctx), f"{ctx} turn {index}"),
+        state=_parse_state_obj(_require(obj, "state", ctx), f"{ctx} turn {index}", states),
         doc_id=doc_id,
     )
 
@@ -264,6 +287,7 @@ def load_corpus(path, schema_version: str = CORPUS_SCHEMA_VERSION, ontology: Ont
     # result instead of the result plus the whole parse tree.
     raw_dialogs.reverse()
     dialogs: dict[str, Dialog] = {}
+    states: dict[_StateKey, ExtendedBeliefState] = {}
     while raw_dialogs:
         obj = raw_dialogs.pop()
         dialog_id = str(_require(obj, "id", str(path)))
@@ -272,7 +296,7 @@ def load_corpus(path, schema_version: str = CORPUS_SCHEMA_VERSION, ontology: Ont
         split = _require(obj, "split", f"dialog {dialog_id!r}")
         if split not in SPLITS:
             raise SchemaError(f"dialog {dialog_id!r}: unknown split {split!r}")
-        turns = tuple(_parse_turn(t, dialog_id) for t in _require(obj, "turns", f"dialog {dialog_id!r}"))
+        turns = tuple(_parse_turn(t, dialog_id, states) for t in _require(obj, "turns", f"dialog {dialog_id!r}"))
         if not turns:
             raise SchemaError(f"dialog {dialog_id!r}: turns must be non-empty")
         for i, turn in enumerate(turns, start=1):

@@ -62,7 +62,7 @@ def metric_tokenize(text: str) -> list[str]:
     return normalize_text(text).split()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurnPrediction:
     dialog_id: str
     turn_index: int
@@ -73,7 +73,11 @@ class TurnPrediction:
 
 def load_predictions(path) -> list[TurnPrediction]:
     """Parse a prediction file: a JSON list of per-turn records with the
-    state in the flat serialization format."""
+    state in the flat serialization format.
+
+    Records whose state texts are equal share one (immutable) state
+    object, parsed at the text's first occurrence in this file.
+    """
     raw = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(raw)
@@ -83,7 +87,12 @@ def load_predictions(path) -> list[TurnPrediction]:
         raise SchemaError(f"{path}: prediction file must be a JSON list")
     predictions = []
     seen: set[tuple[str, int]] = set()
-    for i, obj in enumerate(data):
+    states: dict[str, ExtendedBeliefState] = {}
+    # Take the records off the list front to back, so that each one's JSON
+    # is freed once converted.
+    data.reverse()
+    for i in range(len(data)):
+        obj = data.pop()
         if not isinstance(obj, dict) or "dialog_id" not in obj or "turn_index" not in obj:
             raise SchemaError(f"{path}: record {i} must carry dialog_id and turn_index")
         dialog_id = obj["dialog_id"]
@@ -96,12 +105,19 @@ def load_predictions(path) -> list[TurnPrediction]:
         if key in seen:
             raise DuplicateIdError(f"{path}: duplicate prediction for {dialog_id} turn {turn_index}")
         seen.add(key)
-        try:
-            state = parse_state(obj.get("state", ""))
-        except FormatError as exc:
-            raise FormatError(
-                f"{path}: record {i} ({dialog_id} turn {turn_index}): {exc}", exc.offset
-            ) from exc
+        text = obj.get("state", "")
+        if not isinstance(text, str):
+            raise SchemaError(
+                f"{path}: record {i} ({dialog_id} turn {turn_index}): state must be a string, got {text!r}"
+            )
+        state = states.get(text)
+        if state is None:
+            try:
+                state = states[text] = parse_state(text)
+            except FormatError as exc:
+                raise FormatError(
+                    f"{path}: record {i} ({dialog_id} turn {turn_index}): {exc}", exc.offset
+                ) from exc
         ranked_docs = obj.get("ranked_docs", [])
         if not isinstance(ranked_docs, list) or not all(isinstance(d, str) for d in ranked_docs):
             raise SchemaError(
@@ -441,7 +457,7 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _TurnScore:
     """Every per-turn result, computed once and shared by each group the
     turn belongs to: the whole corpus, its split and its kind."""

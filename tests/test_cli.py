@@ -77,6 +77,34 @@ def test_stats_missing_file(capsys, tmp_path):
     assert "error" in err.lower() or "nope" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("topic", "cheap"),
+        ("topic", [["cheap"]]),
+        ("value", None),
+        ("user", None),
+        ("response", 5),
+    ],
+)
+def test_stats_rejects_turn_of_the_wrong_shape(capsys, tmp_path, paths, field, value):
+    with open(paths["corpus"], encoding="utf-8") as f:
+        data = json.load(f)
+    turn = data["dialogs"][0]["turns"][0]
+    if field == "topic":
+        turn["state"] = {"triples": {"hotel-ruk": "alpha"}, "topic": value}
+    elif field == "value":
+        turn["state"]["triples"]["hotel-area"] = value
+    else:
+        turn[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    rc, payload, _ = run(capsys, "stats", "--corpus", str(bad))
+    assert rc == 1
+    assert payload["error"]["type"] == "SchemaError"
+    assert f"dialog {data['dialogs'][0]['id']!r} turn 1" in payload["error"]["message"]
+
+
 def test_stats_requires_corpus_path(capsys):
     rc, payload, _ = run(capsys, "stats")
     assert rc == 1
@@ -133,6 +161,68 @@ def test_config_rejects_unknown_key(capsys, tmp_path, paths):
     rc, payload, _ = run(capsys, "--config", str(cfg), "stats", "--corpus", paths["corpus"])
     assert rc == 1
     assert "retrieval.kk1" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, command",
+    [
+        # each of these used to end in a TypeError traceback
+        ("thresholds", "hotel", "x", ["build-index"]),
+        ("paths", "stopwords", 5, ["build-index"]),
+        ("retrieval", "k1", "x", ["retrieve", "--method", "bm25", "--context", "pool"]),
+        ("retrieval", "entity_fuzzy_threshold", "x", ["retrieve", "--method", "topic", "--state", "hotel-ruk: alhpa"]),
+        # each of these used to be read as true
+        ("metrics", "delex", "no", ["evaluate"]),
+        ("metrics", "bleu_smoothing", "no", ["evaluate"]),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_schema_error(
+    capsys, tmp_path, paths, pred_path, index_path, section, key, value, command
+):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    inputs = {
+        "build-index": ["--docs", paths["docs"], "--out", str(tmp_path / "index.json")],
+        "retrieve": ["--docs", paths["docs"], "--index", str(index_path)],
+        "evaluate": ["--corpus", paths["corpus"], "--predictions", str(pred_path), "--db", paths["db"],
+                     "--ontology", paths["ontology"]],
+    }[command[0]]
+    rc, payload, _ = run(capsys, "--config", str(cfg), *command, *inputs)
+    assert rc == 1
+    assert payload["error"]["type"] == "SchemaError"
+    assert f"config {section}.{key} must be" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("thresholds", "hotel", True),
+        ("retrieval", "b", None),
+        ("retrieval", "method", 5),
+        ("metrics", "delex", 0),
+        ("paths", "corpus", ["c.json"]),
+    ],
+)
+def test_config_rejects_other_values_of_the_wrong_type(capsys, tmp_path, paths, section, key, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    rc, payload, _ = run(capsys, "--config", str(cfg), "stats", "--corpus", paths["corpus"])
+    assert rc == 1
+    assert f"config {section}.{key} must be" in payload["error"]["message"]
+
+
+def test_config_accepts_values_of_the_declared_types(capsys, tmp_path, paths):
+    cfg = tmp_path / "config.json"
+    config = {
+        "paths": {"corpus": paths["corpus"], "ontology": None},
+        "thresholds": {"hotel": 3},
+        "retrieval": {"method": "bm25", "k1": 1, "b": 0.5},
+        "metrics": {"delex": False},
+    }
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    rc, payload, _ = run(capsys, "--config", str(cfg), "stats")
+    assert rc == 0
+    assert payload["manifest"]["config"]["thresholds"]["hotel"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +621,8 @@ def test_evaluate_rejects_ranked_docs_string(capsys, tmp_path, paths, pred_path)
 
 
 @pytest.mark.parametrize(
-    "field, value", [("turn_index", 1.7), ("turn_index", True), ("turn_index", "one"), ("dialog_id", 7)]
+    "field, value",
+    [("turn_index", 1.7), ("turn_index", True), ("turn_index", "one"), ("dialog_id", 7), ("state", 5)],
 )
 def test_evaluate_rejects_prediction_keys_of_the_wrong_type(capsys, tmp_path, paths, pred_path, field, value):
     records = json.loads(pred_path.read_text(encoding="utf-8"))

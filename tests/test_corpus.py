@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkm import (
     DsvTriple,
+    ExtendedBeliefState,
     DuplicateIdError,
     ParseError,
     SchemaError,
@@ -170,6 +173,135 @@ def test_goal_of_the_wrong_shape_is_a_schema_error(tmp_path, goal, message):
     with pytest.raises(SchemaError, match=message) as exc:
         load_corpus(path)
     assert "dialog 'd7'" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "turn_patch, message",
+    [
+        ({"state": {"triples": {"hotel-ruk": "alpha"}, "topic": "cheap"}}, "topic must be a list of strings"),
+        ({"state": {"triples": {"hotel-ruk": "alpha"}, "topic": [["cheap"]]}}, "topic must be a list of strings"),
+        ({"state": {"triples": {"hotel-area": None}}}, "value of triple 'hotel-area' must be a string"),
+        ({"state": {"triples": {"hotel-area": ["north"]}}}, "value of triple 'hotel-area' must be a string"),
+        ({"state": {"triples": [["hotel-area", "north"]]}}, "state triples must be an object"),
+        ({"user": None}, "user must be a string"),
+        ({"response": 5}, "response must be a string"),
+    ],
+)
+def test_turn_of_the_wrong_shape_is_a_schema_error(tmp_path, turn_patch, message):
+    turn = {"index": 1, "user": "hi", "response": "hello", "kind": "original", "state": {"triples": {}}}
+    turn.update(turn_patch)
+    path = write_json(tmp_path / "c.json", {"schema_version": "1", "dialogs": [minimal_dialog("d7", turns=[turn])]})
+    with pytest.raises(SchemaError, match=message) as exc:
+        load_corpus(path)
+    assert "dialog 'd7' turn 1" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# one shared state object per distinct state within a load
+
+
+def _turn(index, state):
+    return {"index": index, "user": "u", "response": "r", "kind": "original", "state": state}
+
+
+def test_equal_states_in_one_load_are_one_object(tmp_path):
+    a = {"triples": {"hotel-area": "north", "hotel-price": "cheap"}}
+    b = {"triples": {"hotel-area": "south"}}
+    dialogs = [
+        minimal_dialog("d1", turns=[_turn(1, a), _turn(2, b), _turn(3, a)]),
+        minimal_dialog("d2", turns=[_turn(1, b), _turn(2, a)]),
+    ]
+    path = write_json(tmp_path / "c.json", {"schema_version": "1", "dialogs": dialogs})
+    corpus = load_corpus(path)
+    d1, d2 = corpus.dialogs["d1"].turns, corpus.dialogs["d2"].turns
+    assert d1[0].state is d1[2].state is d2[1].state
+    assert d1[1].state is d2[0].state
+    assert d1[0].state is not d1[1].state
+    # a second load builds its own objects: the memo lives for one call
+    again = load_corpus(path).dialogs["d1"].turns
+    assert again[0].state == d1[0].state
+    assert again[0].state is not d1[0].state
+
+
+def test_loaded_records_are_slotted(corpus):
+    turn = corpus.dialogs["tst-001"].turns[1]
+    for record in (turn, turn.state, turn.state.triples[0]):
+        assert not hasattr(record, "__dict__")
+
+
+# The parent commit's per-turn state parser, kept as the reference that the
+# shared-state loader must equal.
+def _oracle_state(obj, context):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{context}: state must be an object")
+    triples = []
+    for key, value in obj["triples"].items():
+        domain, dash, slot = key.partition("-")
+        if not dash or not domain or not slot:
+            raise SchemaError(f"{context}: bad triple key {key!r} (expected domain-slot)")
+        triples.append(DsvTriple(domain, slot, str(value)))
+    topic = tuple(obj.get("topic", ()))
+    return ExtendedBeliefState(triples=tuple(triples), topic=topic)
+
+
+_PAIRS = [("hotel-area", "north"), ("hotel-price", "cheap"), ("restaurant-food", "thai"), ("train-day", "monday")]
+_MALFORMED = [
+    {"triples": {"hotelarea": "north"}},  # key without a dash
+    {"triples": {"hotel-area": "north"}, "topic": ["parking"]},  # topic without a ruk triple
+    {"triples": {"hotel-area": "  "}},  # empty value once normalized
+    {"triples": {"hotel-ruk": "alpha"}, "topic": ["free parking"]},  # topic word with a space
+]
+
+
+@st.composite
+def json_states(draw):
+    pairs = draw(st.lists(st.sampled_from(_PAIRS), unique=True, max_size=4))
+    state = {"triples": dict(draw(st.permutations(pairs)))}
+    if draw(st.booleans()):
+        state["triples"]["hotel-ruk"] = draw(st.sampled_from(["alpha", "none"]))
+        topic = draw(st.lists(st.sampled_from(["parking", "wifi", "dogs"]), max_size=3))
+        if topic or draw(st.booleans()):
+            state["topic"] = topic
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(json_states(), min_size=1, max_size=5),
+    picks=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=5), min_size=1, max_size=4),
+    malformed=st.none() | st.tuples(st.sampled_from(_MALFORMED), st.integers(0, 3), st.integers(0, 4)),
+)
+def test_shared_states_equal_the_per_turn_oracle(tmp_path_factory, pool, picks, malformed):
+    # Each turn reuses a state of the pool, so states repeat, with triple keys
+    # in different orders and the same triples with and without a topic.
+    dialogs = [
+        minimal_dialog(f"d{i}", turns=[_turn(t, pool[p % len(pool)]) for t, p in enumerate(row, start=1)])
+        for i, row in enumerate(picks)
+    ]
+    if malformed is not None:
+        state, d, t = malformed
+        turns = dialogs[d % len(dialogs)]["turns"]
+        turns[t % len(turns)]["state"] = state
+    expected = []
+    error = None
+    for dialog in dialogs:
+        for turn in dialog["turns"]:
+            try:
+                expected.append(_oracle_state(turn["state"], f"dialog {dialog['id']!r} turn {turn['index']}"))
+            except Exception as exc:
+                error = error or exc
+    path = write_json(tmp_path_factory.getbasetemp() / "shared_states_corpus.json", {"schema_version": "1", "dialogs": dialogs})
+    if error is not None:
+        with pytest.raises(type(error)) as exc:
+            load_corpus(path)
+        assert str(exc.value) == str(error)
+        return
+    loaded = load_corpus(path)
+    states = [turn.state for dialog in loaded for turn in dialog.turns]
+    assert states == expected
+    shared = {}
+    for raw, state in zip((t["state"] for d in dialogs for t in d["turns"]), states):
+        assert shared.setdefault(json.dumps(raw), state) is state
 
 
 def test_document_base_grouping(base):

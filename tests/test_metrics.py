@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkm import metrics, retrieval
 from hybridkm.belief import parse_state
@@ -477,6 +479,105 @@ def test_load_predictions_rejects_dialog_id_that_is_not_a_string(tmp_path, dialo
     p.write_text(json.dumps([{"dialog_id": dialog_id, "turn_index": 1, "state": ""}]), encoding="utf-8")
     with pytest.raises(SchemaError, match=r"record 0: dialog_id must be a string"):
         load_predictions(p)
+
+
+@pytest.mark.parametrize("state", [None, 5, ["hotel-area: north"], {"hotel-area": "north"}])
+def test_load_predictions_rejects_state_that_is_not_a_string(tmp_path, state):
+    p = tmp_path / "preds.json"
+    p.write_text(json.dumps([{"dialog_id": "d", "turn_index": 2, "state": state}]), encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"record 0 \(d turn 2\): state must be a string"):
+        load_predictions(p)
+
+
+def test_equal_state_texts_in_one_load_are_one_object(tmp_path):
+    p = tmp_path / "preds.json"
+    texts = ["hotel-area: north", "", "hotel-area: north", "hotel-ruk: alpha | topic: wifi", ""]
+    records = [{"dialog_id": "d", "turn_index": i, "state": text} for i, text in enumerate(texts, start=1)]
+    p.write_text(json.dumps(records), encoding="utf-8")
+    first = load_predictions(p)
+    assert first[0].state is first[2].state
+    assert first[1].state is first[4].state
+    assert first[0].state is not first[3].state
+    # a second load builds its own objects: the memo lives for one call
+    second = load_predictions(p)
+    assert second == first
+    assert all(a.state is not b.state for a, b in zip(first, second))
+
+
+def test_prediction_and_score_records_are_slotted(corpus, gold_predictions):
+    pred = gold_predictions[0]
+    turn = corpus.dialogs[pred.dialog_id].turns[pred.turn_index - 1]
+    score = metrics._score_turn("test", turn, pred, None)
+    for record in (pred, score):
+        assert not hasattr(record, "__dict__")
+
+
+# The parent commit's per-record reader, kept as the reference that the
+# shared-state loader must equal.
+def _oracle_predictions(path, records):
+    out = []
+    for i, obj in enumerate(records):
+        try:
+            state = parse_state(obj.get("state", ""))
+        except FormatError as exc:
+            raise FormatError(
+                f"{path}: record {i} ({obj['dialog_id']} turn {obj['turn_index']}): {exc}", exc.offset
+            ) from exc
+        out.append(TurnPrediction(obj["dialog_id"], obj["turn_index"], state, tuple(obj["ranked_docs"]), obj["response"]))
+    return out
+
+
+_SEGMENTS = ["hotel-area: north", "hotel-price:cheap", "restaurant-food: thai", "train-day :  monday"]
+_MALFORMED_TEXTS = [
+    "hotel-area west",  # missing ':'
+    "hotelarea: west",  # key without a dash
+    "hotel-area: west;; hotel-price: cheap",  # empty segment
+    "hotel-area: west | topic: parking",  # topic without a ruk triple
+]
+
+
+@st.composite
+def state_texts(draw):
+    segments = draw(st.lists(st.sampled_from(_SEGMENTS), unique=True, max_size=4))
+    text = "; ".join(draw(st.permutations(segments)))
+    if draw(st.booleans()):
+        text = "; ".join(([text] if text else []) + ["hotel-ruk: alpha"])
+        topic = draw(st.lists(st.sampled_from(["parking", "wifi", "dogs"]), max_size=3))
+        if topic:
+            text += " | topic: " + " ".join(topic)
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(state_texts(), min_size=1, max_size=5),
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=20),
+    malformed=st.none() | st.tuples(st.sampled_from(_MALFORMED_TEXTS), st.integers(0, 19)),
+)
+def test_shared_states_equal_the_per_record_oracle(tmp_path_factory, pool, picks, malformed):
+    # Records reuse the texts of the pool, so states repeat, with triples in
+    # different orders and the same triples with and without a topic.
+    texts = [pool[p % len(pool)] for p in picks]
+    if malformed is not None:
+        texts[malformed[1] % len(texts)] = malformed[0]
+    records = [
+        {"dialog_id": "d", "turn_index": i, "state": text, "ranked_docs": ["x"], "response": "r"}
+        for i, text in enumerate(texts, start=1)
+    ]
+    p = tmp_path_factory.getbasetemp() / "shared_states_predictions.json"
+    p.write_text(json.dumps(records), encoding="utf-8")
+    try:
+        expected = _oracle_predictions(p, records)
+    except FormatError as error:
+        with pytest.raises(FormatError) as exc:
+            load_predictions(p)
+        assert (str(exc.value), exc.value.offset) == (str(error), error.offset)
+        return
+    loaded = load_predictions(p)
+    assert loaded == expected
+    shared = {}
+    for text, pred in zip(texts, loaded):
+        assert shared.setdefault(text, pred.state) is pred.state
 
 
 def test_load_predictions_rejects_non_list(tmp_path):
