@@ -34,7 +34,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .belief import extend_label, parse_state
@@ -46,10 +46,11 @@ from .corpus import (
     load_database,
     load_document_base,
     load_ontology,
+    read_json,
     save_corpus,
     unresolvable_doc_refs,
 )
-from .errors import HybridKmError, MissingIndexError, ParseError, SchemaError
+from .errors import HybridKmError, MissingIndexError, SchemaError
 from .kb_structured import encode_match, query
 from .kb_unstructured import (
     DEFAULT_TOP_K,
@@ -62,6 +63,7 @@ from .kb_unstructured import (
     save_index,
 )
 from .metrics import evaluate, load_predictions
+from .retrieval import BM25_B, BM25_K1, DEFAULT_TOP_N, FUZZY_ENTITY_THRESHOLD
 from .retrieval import bm25_retrieve, tfidf_retrieve, topic_match_retrieve
 
 ENV_CONFIG = "HYBRIDKM_CONFIG"
@@ -77,13 +79,13 @@ _DEFAULT_CONFIG: dict = {
         "canon_map": None,
         "stopwords": None,
     },
-    "thresholds": {"restaurant": 2.3, "hotel": 2.7, "taxi": 6.9, "train": 7.3},
+    "thresholds": asdict(DomainThresholds()),
     "retrieval": {
         "method": "topic",
-        "k": 5,
-        "k1": 1.5,
-        "b": 0.75,
-        "entity_fuzzy_threshold": 0.8,
+        "k": DEFAULT_TOP_N,
+        "k1": BM25_K1,
+        "b": BM25_B,
+        "entity_fuzzy_threshold": FUZZY_ENTITY_THRESHOLD,
     },
     "metrics": {"delex": True, "bleu_smoothing": True},
 }
@@ -104,13 +106,7 @@ def load_config(path: str | None) -> dict:
     config = copy.deepcopy(_DEFAULT_CONFIG)
     if not path:
         return config
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
+    data = read_json(path, dict, "config")
     for section, values in data.items():
         if section not in config:
             raise SchemaError(f"{path}: unknown config section {section!r}")
@@ -143,27 +139,13 @@ def make_manifest(config: dict, inputs: dict[str, object], seed: int | None = No
     return manifest
 
 
-def _resolve(flag_value, config: dict, key: str, required: bool = True):
-    value = flag_value if flag_value is not None else config["paths"][key]
-    if value is None and required:
-        raise SchemaError(f"no {key} path given (use --{key} or config paths.{key})")
-    return value
-
-
 def _thresholds(config: dict) -> DomainThresholds:
     return DomainThresholds(**config["thresholds"])
 
 
-def _stopwords(config: dict) -> frozenset[str]:
-    return load_stopwords(config["paths"]["stopwords"])
-
-
 def _load_canon_map(path) -> dict[str, str]:
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    # Any top level passes read_json: the check below names the whole shape.
+    data = read_json(path, object, "canon map")
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
@@ -171,15 +153,49 @@ def _load_canon_map(path) -> dict[str, str]:
     return data
 
 
+#: How each input file is loaded, given the inputs loaded before it.  The
+#: loaders are looked up in this module's globals at call time, so that a
+#: tracer that rebinds them sees every load.
+_LOADERS = {
+    "ontology": lambda path, got: load_ontology(path),
+    "corpus": lambda path, got: load_corpus(path, ontology=got.get("ontology")),
+    "db": lambda path, got: load_database(path, ontology=got.get("ontology")),
+    "docs": lambda path, got: load_document_base(path),
+    "index": lambda path, got: load_index(path),
+    "predictions": lambda path, got: load_predictions(path),
+    "canon_map": lambda path, got: _load_canon_map(path),
+    "stopwords": lambda path, got: load_stopwords(path),
+}
+
+
+def _load_inputs(args, config: dict, roles) -> tuple[dict, dict]:
+    """Load the inputs named by ``roles``, ``(role, required)`` pairs in
+    load order, and return them and the paths the manifest records.
+
+    Every path is resolved before anything is loaded: the role's flag, else
+    config ``paths``.  A required input with no path is an error; an
+    optional one with no or an empty path is left out of both results.
+    """
+    paths = {}
+    for role, required in roles:
+        path = getattr(args, role, None)
+        if path is None:
+            path = config["paths"].get(role)
+        if path is None and required:
+            raise SchemaError(f"no {role} path given (use --{role} or config paths.{role})")
+        if role == "index" and not Path(path).exists():
+            raise MissingIndexError(f"index file not found: {path} (run build-index first)")
+        if path or required:
+            paths[role] = path
+    got: dict = {}
+    for role, path in paths.items():
+        got[role] = _LOADERS[role](path, got)
+    return got, paths
+
+
 def cmd_stats(args, config: dict) -> dict:
-    corpus_path = _resolve(args.corpus, config, "corpus")
-    ontology_path = _resolve(args.ontology, config, "ontology", required=False)
-    inputs: dict[str, object] = {"corpus": corpus_path}
-    ontology = None
-    if ontology_path:
-        ontology = load_ontology(ontology_path)
-        inputs["ontology"] = ontology_path
-    corpus = load_corpus(corpus_path, ontology=ontology)
+    got, paths = _load_inputs(args, config, [("ontology", False), ("corpus", True)])
+    corpus = got["corpus"]
     stats = corpus_stats(corpus)
     return {
         "dialogs_per_split": dict(stats.dialogs_per_split),
@@ -187,15 +203,15 @@ def cmd_stats(args, config: dict) -> dict:
         "avg_turns": stats.avg_turns,
         "slot_types": stats.slot_types,
         "slot_values": stats.slot_values,
-        "manifest": make_manifest(config, inputs, args.seed),
+        "manifest": make_manifest(config, paths, args.seed),
     }
 
 
 def cmd_build_index(args, config: dict) -> dict:
-    docs_path = _resolve(args.docs, config, "docs")
-    base = load_document_base(docs_path)
-    index = build_index(base, thresholds=_thresholds(config), stopwords=_stopwords(config))
-    manifest = make_manifest(config, {"docs": docs_path}, args.seed)
+    got, paths = _load_inputs(args, config, [("docs", True), ("stopwords", False)])
+    base = got["docs"]
+    index = build_index(base, thresholds=_thresholds(config), stopwords=got.get("stopwords"))
+    manifest = make_manifest(config, paths, args.seed)
     save_index(index, args.out, manifest=manifest)
     logger.info("indexed %d documents -> %s", len(base), args.out)
     return {
@@ -208,13 +224,8 @@ def cmd_build_index(args, config: dict) -> dict:
 
 
 def cmd_extend_labels(args, config: dict) -> dict:
-    corpus_path = _resolve(args.corpus, config, "corpus")
-    docs_path = _resolve(args.docs, config, "docs")
-    if not Path(args.index).exists():
-        raise MissingIndexError(f"index file not found: {args.index} (run build-index first)")
-    corpus = load_corpus(corpus_path)
-    base = load_document_base(docs_path)
-    index = load_index(args.index)
+    got, paths = _load_inputs(args, config, [("corpus", True), ("docs", True), ("index", True)])
+    corpus, base, index = got["corpus"], got["docs"], got["index"]
 
     missing = unresolvable_doc_refs(corpus, base)
     if missing:
@@ -247,33 +258,29 @@ def cmd_extend_labels(args, config: dict) -> dict:
     new_corpus = DialogCorpus(
         dialogs=new_dialogs, schema_version=corpus.schema_version, ontology=corpus.ontology
     )
-    manifest = make_manifest(
-        config, {"corpus": corpus_path, "docs": docs_path, "index": args.index}, args.seed
-    )
+    manifest = make_manifest(config, paths, args.seed)
     save_corpus(new_corpus, args.out, manifest=manifest)
     logger.info("extended %d inserted turns -> %s", extended, args.out)
     return {"extended_turns": extended, "out": str(args.out), "manifest": manifest}
 
 
 def cmd_retrieve(args, config: dict) -> dict:
-    docs_path = _resolve(args.docs, config, "docs")
-    base = load_document_base(docs_path)
+    got, paths = _load_inputs(args, config, [("docs", True)])
+    base = got["docs"]
     method = args.method or config["retrieval"]["method"]
     k = args.k if args.k is not None else config["retrieval"]["k"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise SchemaError(f"retrieval k must be an integer >= 1, got {k!r}")
-    inputs: dict[str, object] = {"docs": docs_path}
 
     if method == "topic":
         if args.state is None:
             raise SchemaError("retrieve --method topic needs --state")
         if args.index is None:
             raise SchemaError("retrieve --method topic needs --index")
-        if not Path(args.index).exists():
-            raise MissingIndexError(f"index file not found: {args.index} (run build-index first)")
-        index = load_index(args.index)
-        inputs["index"] = args.index
-        if not fingerprint_matches(index, _thresholds(config), DEFAULT_TOP_K, _stopwords(config)):
+        topic_inputs, topic_paths = _load_inputs(args, config, [("index", True), ("stopwords", False)])
+        paths.update(topic_paths)
+        index = topic_inputs["index"]
+        if not fingerprint_matches(index, _thresholds(config), DEFAULT_TOP_K, topic_inputs.get("stopwords")):
             logger.warning(
                 "index %s was built under a different configuration "
                 "(fingerprint mismatch); results may be stale",
@@ -310,21 +317,14 @@ def cmd_retrieve(args, config: dict) -> dict:
         "method": method,
         "best": ranking[0][0] if ranking else None,
         "ranking": [[doc_id, score] for doc_id, score in ranking],
-        "manifest": make_manifest(config, inputs, args.seed),
+        "manifest": make_manifest(config, paths, args.seed),
     }
 
 
 def cmd_query_db(args, config: dict) -> dict:
-    db_path = _resolve(args.db, config, "db")
-    ontology_path = _resolve(args.ontology, config, "ontology", required=False)
-    inputs: dict[str, object] = {"db": db_path}
-    ontology = None
-    if ontology_path:
-        ontology = load_ontology(ontology_path)
-        inputs["ontology"] = ontology_path
-    db = load_database(db_path, ontology=ontology)
+    got, paths = _load_inputs(args, config, [("ontology", False), ("db", True)])
     state = parse_state(args.state)
-    result = query(db, state, args.domain)
+    result = query(got["db"], state, args.domain)
     vector = encode_match(result)
     return {
         "domain": args.domain,
@@ -332,50 +332,31 @@ def cmd_query_db(args, config: dict) -> dict:
         "booking_available": result.booking_available,
         "match_vector": list(vector.bits),
         "entities": sorted(e.identity() for e in result.entries),
-        "manifest": make_manifest(config, inputs, args.seed),
+        "manifest": make_manifest(config, paths, args.seed),
     }
 
 
 def cmd_evaluate(args, config: dict) -> dict:
-    corpus_path = _resolve(args.corpus, config, "corpus")
-    db_path = _resolve(args.db, config, "db", required=False)
-    ontology_path = _resolve(args.ontology, config, "ontology", required=False)
-    canon_path = config["paths"]["canon_map"]
-    inputs: dict[str, object] = {"corpus": corpus_path, "predictions": args.predictions}
-
-    ontology = None
-    if ontology_path:
-        ontology = load_ontology(ontology_path)
-        inputs["ontology"] = ontology_path
-    db = None
-    if db_path:
-        db = load_database(db_path, ontology=ontology)
-        inputs["db"] = db_path
-    canon_map = None
-    if canon_path:
-        canon_map = _load_canon_map(canon_path)
-        inputs["canon_map"] = canon_path
-    if db is not None and ontology is None:
+    roles = [("ontology", False), ("db", False), ("canon_map", False), ("corpus", True), ("predictions", True)]
+    got, paths = _load_inputs(args, config, roles)
+    if "db" in got and "ontology" not in got:
         logger.warning("database given without ontology; inform/success stay 0")
-
-    corpus = load_corpus(corpus_path, ontology=ontology)
-    predictions = load_predictions(args.predictions)
     delex = config["metrics"]["delex"]
     if args.delex:
         delex = True
     elif args.lexical:
         delex = False
     report = evaluate(
-        corpus,
-        predictions,
-        db=db,
-        ontology=ontology,
+        got["corpus"],
+        got["predictions"],
+        db=got.get("db"),
+        ontology=got.get("ontology"),
         delex=delex,
         bleu_smoothing=config["metrics"]["bleu_smoothing"],
-        canon_map=canon_map,
+        canon_map=got.get("canon_map"),
     )
     payload = report.to_dict()
-    payload["manifest"] = make_manifest(config, inputs, args.seed)
+    payload["manifest"] = make_manifest(config, paths, args.seed)
     if args.report:
         Path(args.report).write_text(
             json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",

@@ -158,12 +158,18 @@ class CorpusStats:
     slot_values: int
 
 
-def _read_json(path) -> object:
+def read_json(path, kind: type, what: str):
+    """The JSON value in the file at ``path``, whose top level must be a
+    ``kind``: ``dict``, ``list``, or ``object`` for any value.  Malformed or
+    too deeply nested JSON is a ``ParseError``."""
     raw = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(data, kind):
+        raise SchemaError(f"{path}: {what} must be a JSON {'object' if kind is dict else 'list'}")
+    return data
 
 
 def _require(obj: Mapping, key: str, context: str):
@@ -232,6 +238,8 @@ def _parse_turn(obj, dialog_id: str, states: dict[_StateKey, ExtendedBeliefState
         raise SchemaError(f"{ctx}: inserted turn {index} has no doc_id")
     if kind is TurnKind.ORIGINAL and doc_id is not None:
         raise SchemaError(f"{ctx}: original turn {index} must not carry doc_id")
+    if doc_id is not None and not isinstance(doc_id, str):
+        raise SchemaError(f"{ctx} turn {index}: doc_id must be a string, got {doc_id!r}")
     for name in ("user", "response"):
         text = _require(obj, name, ctx)
         if not isinstance(text, str):
@@ -273,9 +281,7 @@ def load_corpus(path, schema_version: str = CORPUS_SCHEMA_VERSION, ontology: Ont
     consecutive from 1.  An ontology, when given, is attached to the corpus
     and used to validate goal domains.
     """
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: corpus file must be a JSON object")
+    data = read_json(path, dict, "corpus file")
     found = data.get("schema_version")
     if found != schema_version:
         raise SchemaError(f"{path}: schema_version {found!r} != expected {schema_version!r}")
@@ -345,11 +351,14 @@ def save_corpus(corpus: DialogCorpus, path, manifest: Mapping | None = None) -> 
 
 def load_document_base(path) -> DocumentBase:
     """Load the document base, grouping documents by (domain, entity)."""
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: document file must be a JSON object")
+    data = read_json(path, dict, "document file")
+    raw_documents = _require(data, "documents", str(path))
+    if not isinstance(raw_documents, list):
+        raise SchemaError(f"{path}: documents must be a JSON list")
     documents = []
-    for obj in _require(data, "documents", str(path)):
+    for i, obj in enumerate(raw_documents):
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}: document {i} must be an object")
         doc_id = str(_require(obj, "id", str(path)))
         domain = _require(obj, "domain", f"document {doc_id!r}")
         if domain not in DOC_DOMAINS:
@@ -357,35 +366,54 @@ def load_document_base(path) -> DocumentBase:
         body = _require(obj, "body", f"document {doc_id!r}")
         if not body:
             raise SchemaError(f"document {doc_id!r}: body must be non-empty")
-        documents.append(Document(id=doc_id, domain=domain, entity=obj.get("entity"), body=body))
+        if not isinstance(body, str):
+            raise SchemaError(f"document {doc_id!r}: body must be a string, got {body!r}")
+        entity = obj.get("entity")
+        if entity is not None and not isinstance(entity, str):
+            raise SchemaError(f"document {doc_id!r}: entity must be a string or null, got {entity!r}")
+        documents.append(Document(id=doc_id, domain=domain, entity=entity, body=body))
     return DocumentBase(documents)
 
 
 def load_database(path, ontology: Ontology | None = None) -> Database:
     """Load the per-domain entry tables; slot names are validated against the
     ontology when one is given."""
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: database file must be a JSON object")
+    data = read_json(path, dict, "database file")
     tables: dict[str, tuple[DbEntry, ...]] = {}
     for domain, rows in data.items():
+        if not isinstance(rows, list):
+            raise SchemaError(f"db {domain}: table must be a list of rows")
         entries = []
         for i, row in enumerate(rows):
-            slots = {str(k): str(v) for k, v in _require(row, "slots", f"db {domain}[{i}]").items()}
+            ctx = f"db {domain}[{i}]"
+            if not isinstance(row, dict):
+                raise SchemaError(f"{ctx}: row must be an object")
+            raw_slots = _require(row, "slots", ctx)
+            if not isinstance(raw_slots, dict):
+                raise SchemaError(f"{ctx}: slots must be an object")
+            slots = {str(k): str(v) for k, v in raw_slots.items()}
             if ontology is not None:
                 for slot in slots:
                     if f"{domain}-{slot}" not in ontology.slots:
-                        raise UnknownSlotError(f"db {domain}[{i}]: slot {slot!r} not in ontology")
-            entries.append(DbEntry(index=i, slots=slots, bookable=bool(row.get("bookable", False))))
+                        raise UnknownSlotError(f"{ctx}: slot {slot!r} not in ontology")
+            bookable = row.get("bookable", False)
+            if not isinstance(bookable, bool):
+                raise SchemaError(f"{ctx}: bookable must be true or false, got {bookable!r}")
+            entries.append(DbEntry(index=i, slots=slots, bookable=bookable))
         tables[domain] = tuple(entries)
     return Database(tables=tables)
 
 
 def load_ontology(path) -> Ontology:
-    data = _read_json(path)
-    domains = tuple(_require(data, "domains", str(path)))
-    slots = {str(k): tuple(str(v) for v in vs) for k, vs in _require(data, "slots", str(path)).items()}
-    return Ontology(domains=domains, slots=slots)
+    data = read_json(path, dict, "ontology file")
+    domains = _require(data, "domains", str(path))
+    if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
+        raise SchemaError(f"{path}: ontology domains must be a list of strings, got {domains!r}")
+    raw_slots = _require(data, "slots", str(path))
+    if not isinstance(raw_slots, dict) or not all(isinstance(vs, list) for vs in raw_slots.values()):
+        raise SchemaError(f"{path}: ontology slots must be an object of value lists")
+    slots = {str(k): tuple(str(v) for v in vs) for k, vs in raw_slots.items()}
+    return Ontology(domains=tuple(domains), slots=slots)
 
 
 def corpus_stats(corpus: DialogCorpus) -> CorpusStats:

@@ -37,9 +37,6 @@ class MatchVector:
     bits: tuple[int, ...]
     bucket: int
 
-    def __iter__(self):
-        return iter(self.bits)
-
 
 def _entry_matches(entry: DbEntry, constraints: dict[str, str]) -> bool:
     for slot, value in constraints.items():

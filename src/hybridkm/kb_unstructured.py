@@ -31,8 +31,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document, DocumentBase
-from .errors import EmptyCorpusError, InvariantError, ParseError, UnknownDomainError, VersionError
+from .corpus import Document, DocumentBase, read_json
+from .errors import EmptyCorpusError, InvariantError, UnknownDomainError, VersionError
 
 INDEX_VERSION = "1"
 DEFAULT_TOP_K = 3
@@ -300,11 +300,7 @@ def save_index(index: TopicIndex, path, manifest: Mapping | None = None) -> None
 
 
 def load_index(path) -> TopicIndex:
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    obj = read_json(path, dict, "index file")
     version = obj.get("version")
     if version != INDEX_VERSION:
         raise VersionError(f"{path}: index version {version!r} != supported {INDEX_VERSION!r}")

@@ -20,10 +20,8 @@ Conventions, fixed here and relied on by the tests:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from ._porter import stem
@@ -34,14 +32,13 @@ from .belief import (
     normalize_text,
     parse_state,
 )
-from .corpus import Database, DbEntry, DialogCorpus, GoalSpec, Ontology, Turn, TurnKind
+from .corpus import Database, DbEntry, DialogCorpus, GoalSpec, Ontology, Turn, TurnKind, read_json
 from .errors import (
     DuplicateDocError,
     DuplicateIdError,
     FormatError,
     LengthMismatchError,
     MissingPredictionError,
-    ParseError,
     SchemaError,
     UnknownDomainError,
 )
@@ -78,13 +75,7 @@ def load_predictions(path) -> list[TurnPrediction]:
     Records whose state texts are equal share one (immutable) state
     object, parsed at the text's first occurrence in this file.
     """
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: prediction file must be a JSON list")
+    data = read_json(path, list, "prediction file")
     predictions = []
     seen: set[tuple[str, int]] = set()
     states: dict[str, ExtendedBeliefState] = {}
@@ -124,13 +115,18 @@ def load_predictions(path) -> list[TurnPrediction]:
                 f"{path}: record {i} ({dialog_id} turn {turn_index}): "
                 "ranked_docs must be a list of document ids"
             )
+        response = obj.get("response", "")
+        if not isinstance(response, str):
+            raise SchemaError(
+                f"{path}: record {i} ({dialog_id} turn {turn_index}): response must be a string, got {response!r}"
+            )
         predictions.append(
             TurnPrediction(
                 dialog_id=dialog_id,
                 turn_index=turn_index,
                 state=state,
                 ranked_docs=tuple(ranked_docs),
-                response=str(obj.get("response", "")),
+                response=response,
             )
         )
     return predictions
