@@ -226,7 +226,7 @@ def _state_to_obj(state: ExtendedBeliefState) -> dict:
 def _parse_turn(obj, dialog_id: str, states: dict[_StateKey, ExtendedBeliefState]) -> Turn:
     ctx = f"dialog {dialog_id!r}"
     index = _require(obj, "index", ctx)
-    if not isinstance(index, int) or index < 1:
+    if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise SchemaError(f"{ctx}: turn index must be a positive integer, got {index!r}")
     kind_raw = _require(obj, "kind", ctx)
     try:
@@ -265,8 +265,8 @@ def _parse_goal(obj, dialog_id: str, ontology: Ontology | None) -> GoalSpec:
         if not isinstance(spec, dict):
             raise SchemaError(f"{ctx}: goal for domain {domain!r} must be an object")
         constraints = spec.get("constraints", {})
-        if not isinstance(constraints, dict):
-            raise SchemaError(f"{ctx}: goal constraints for domain {domain!r} must be an object")
+        if not isinstance(constraints, dict) or not all(isinstance(v, str) for v in constraints.values()):
+            raise SchemaError(f"{ctx}: goal constraints for domain {domain!r} must be an object of strings")
         requests = spec.get("requests", [])
         if not isinstance(requests, list) or not all(isinstance(r, str) for r in requests):
             raise SchemaError(f"{ctx}: goal requests for domain {domain!r} must be a list of strings")

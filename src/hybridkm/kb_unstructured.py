@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document, DocumentBase, read_json
-from .errors import EmptyCorpusError, InvariantError, UnknownDomainError, VersionError
+from .errors import EmptyCorpusError, InvariantError, SchemaError, UnknownDomainError, VersionError
 
 INDEX_VERSION = "1"
 DEFAULT_TOP_K = 3
@@ -111,8 +111,11 @@ def tfidf_weights(counts: Mapping[str, int], model: TfIdfModel) -> dict[str, flo
 
 
 def vector_norm(weights: Mapping[str, float]) -> float:
-    """Euclidean norm, summed in ``weights`` order."""
-    return math.sqrt(sum(v * v for v in weights.values()))
+    """Euclidean norm, added left to right in ``weights`` order."""
+    total = 0.0
+    for v in weights.values():
+        total += v * v
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -304,11 +307,19 @@ def load_index(path) -> TopicIndex:
     version = obj.get("version")
     if version != INDEX_VERSION:
         raise VersionError(f"{path}: index version {version!r} != supported {INDEX_VERSION!r}")
+    thresholds = obj.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise SchemaError(f"{path}: thresholds must be an object")
+    topics = obj.get("topics", {})
+    if not isinstance(topics, dict) or not all(
+        isinstance(words, list) and all(isinstance(w, str) for w in words) for words in topics.values()
+    ):
+        raise SchemaError(f"{path}: topics must be an object of word lists")
     return TopicIndex(
         version=version,
         config_fingerprint=obj.get("config_fingerprint", ""),
-        thresholds=dict(obj.get("thresholds", {})),
-        topics={doc_id: tuple(words) for doc_id, words in obj.get("topics", {}).items()},
+        thresholds=dict(thresholds),
+        topics={doc_id: tuple(words) for doc_id, words in topics.items()},
     )
 
 

@@ -11,6 +11,10 @@ Conventions, fixed here and relied on by the tests:
     the unigram precision is never smoothed.
   * meteor() and rouge_l() are per-pair scores in [0, 1]; the aggregate
     report averages them over turns and reports them on the 0-100 scale.
+  * Each report group (overall, a split, a turn kind) keeps running totals:
+    integer counts and BLEU statistics, and one float ``+=`` from 0.0 per
+    turn for METEOR, ROUGE-L and MRR@5, in dialog-id and turn order.  sum()
+    would compensate from Python 3.12 on; this gives equal bytes on all.
   * Joint Goal compares normalized non-ruk triples on original turns only.
   * Inform/Success follow the delexicalized-placeholder convention; a
     lexical mode matches entity names and slot values from the database
@@ -21,7 +25,7 @@ Conventions, fixed here and relied on by the tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from ._porter import stem
@@ -144,6 +148,7 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], int]:
 #: candidate n-gram totals for orders 1..4, then the candidate and reference
 #: lengths.  All integers, so their sum over any set of pairs is exact.
 _BleuStats = tuple[int, ...]
+_BLEU_FIELDS = 2 * BLEU_MAX_ORDER + 2
 
 
 def _bleu_stats(candidate: str, reference: str) -> _BleuStats:
@@ -158,9 +163,8 @@ def _bleu_stats(candidate: str, reference: str) -> _BleuStats:
     return (*clipped, *totals, len(cand), len(ref))
 
 
-def _bleu_score(stats: Sequence[_BleuStats], smoothing: bool) -> float:
+def _bleu_score(summed: Sequence[int], smoothing: bool) -> float:
     """Corpus BLEU-4 from the statistics of its pairs, summed."""
-    summed = [sum(column) for column in zip(*stats)] or [0] * (2 * BLEU_MAX_ORDER + 2)
     clipped = summed[:BLEU_MAX_ORDER]
     totals = summed[BLEU_MAX_ORDER : 2 * BLEU_MAX_ORDER]
     cand_len, ref_len = summed[-2:]
@@ -189,7 +193,8 @@ def bleu(candidates: Sequence[str], references: Sequence[str], smoothing: bool =
         raise LengthMismatchError(
             f"{len(candidates)} candidates vs {len(references)} references"
         )
-    return _bleu_score([_bleu_stats(c, r) for c, r in zip(candidates, references)], smoothing)
+    stats = [_bleu_stats(c, r) for c, r in zip(candidates, references)]
+    return _bleu_score([sum(column) for column in zip(*stats)] or [0] * _BLEU_FIELDS, smoothing)
 
 
 def _meteor_align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
@@ -267,14 +272,10 @@ def _normalized_triples(
     return frozenset((t.domain, t.slot, t.value) for t in normalized.non_ruk_triples)
 
 
-def _prediction_map(predictions: Sequence[TurnPrediction]) -> dict[tuple[str, int], TurnPrediction]:
-    return {(p.dialog_id, p.turn_index): p for p in predictions}
-
-
-def _prediction_for(
-    pred_map: Mapping[tuple[str, int], TurnPrediction], dialog_id: str, turn: Turn
+def _take_prediction(
+    pred_map: dict[tuple[str, int], TurnPrediction], dialog_id: str, turn: Turn
 ) -> TurnPrediction:
-    pred = pred_map.get((dialog_id, turn.index))
+    pred = pred_map.pop((dialog_id, turn.index), None)
     if pred is None:
         raise MissingPredictionError(f"no prediction for {dialog_id} turn {turn.index}")
     return pred
@@ -293,14 +294,14 @@ def joint_goal(
 ) -> float:
     """Percentage of original turns whose normalized non-ruk triples match
     the gold state exactly."""
-    pred_map = _prediction_map(predictions)
+    pred_map = {(p.dialog_id, p.turn_index): p for p in predictions}
     hits = [
-        _goal_hit(_prediction_for(pred_map, dialog.id, turn), turn, canon_map)
+        _goal_hit(_take_prediction(pred_map, dialog.id, turn), turn, canon_map)
         for dialog in corpus
         for turn in dialog.turns
         if turn.kind is TurnKind.ORIGINAL
     ]
-    return _percent(hits)
+    return _average(100.0 * sum(hits), len(hits))
 
 
 def _has_entity_slot(entries: Sequence[DbEntry]) -> bool:
@@ -422,96 +423,67 @@ class EvalReport:
     by_kind: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "inform": self.inform,
-            "success": self.success,
-            "bleu": self.bleu,
-            "meteor": self.meteor,
-            "rouge_l": self.rouge_l,
-            "combined": self.combined,
-            "joint_goal": self.joint_goal,
-            "mrr5": self.mrr5,
-            "r1": self.r1,
-            "n_dialogs": self.n_dialogs,
-            "n_turns": self.n_turns,
-            "n_original": self.n_original,
-            "n_inserted": self.n_inserted,
-            "by_split": self.by_split,
-            "by_kind": self.by_kind,
-        }
+        return asdict(self)
 
 
 def combined_score(inform: float, success: float, bleu_value: float) -> float:
     return (inform + success) * 0.5 + bleu_value
 
 
-def _percent(values: Sequence[float]) -> float:
-    return 100.0 * sum(values) / len(values) if values else 0.0
+def _average(total: float, count: int) -> float:
+    return total / count if count else 0.0
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+class _Group:
+    """Running totals of one report group, as the module docstring says."""
 
+    __slots__ = ("dialogs", "informs", "successes", "bleu_stats", "meteor", "rouge_l",
+                 "original", "goal_hits", "inserted", "mrr5", "r1")
 
-@dataclass(frozen=True, slots=True)
-class _TurnScore:
-    """Every per-turn result, computed once and shared by each group the
-    turn belongs to: the whole corpus, its split and its kind."""
+    def __init__(self) -> None:
+        self.dialogs = self.informs = self.successes = 0
+        self.original = self.goal_hits = self.inserted = self.r1 = 0
+        self.meteor = self.rouge_l = self.mrr5 = 0.0
+        self.bleu_stats = [0] * _BLEU_FIELDS
 
-    split: str
-    kind: TurnKind
-    bleu_stats: _BleuStats
-    meteor: float
-    rouge_l: float
-    goal_hit: bool = False  # original turns
-    mrr5: float = 0.0  # inserted turns
-    r1: int = 0  # inserted turns
+    def add_dialog(self, inform: bool, success: bool) -> None:
+        self.dialogs += 1
+        self.informs += inform
+        self.successes += success
 
+    def add_turn(self, original: bool, stats: _BleuStats, meteor_value: float, rouge_value: float,
+                 goal_hit: bool, mrr5: float, r1: int) -> None:
+        self.bleu_stats = [a + b for a, b in zip(self.bleu_stats, stats)]
+        self.meteor += meteor_value
+        self.rouge_l += rouge_value
+        if original:
+            self.original += 1
+            self.goal_hits += goal_hit
+        else:
+            self.inserted += 1
+            self.mrr5 += mrr5
+            self.r1 += r1
 
-def _score_turn(
-    split: str, turn: Turn, pred: TurnPrediction, canon_map: Mapping[str, str] | None
-) -> _TurnScore:
-    original = turn.kind is TurnKind.ORIGINAL
-    return _TurnScore(
-        split=split,
-        kind=turn.kind,
-        bleu_stats=_bleu_stats(pred.response, turn.response),
-        meteor=meteor(pred.response, turn.response),
-        rouge_l=rouge_l(pred.response, turn.response),
-        goal_hit=original and _goal_hit(pred, turn, canon_map),
-        mrr5=0.0 if original else mrr_at_k(pred.ranked_docs, turn.doc_id),
-        r1=0 if original else r_at_1(pred.ranked_docs, turn.doc_id),
-    )
-
-
-def _summary(
-    turns: Sequence[_TurnScore],
-    verdicts: Sequence[tuple[str, bool, bool]],
-    n_dialogs: int,
-    smoothing: bool,
-) -> dict:
-    # Means are sum() over the turns in corpus order, as a per-group
-    # rescoring would add them, so every figure is exact for its group.
-    original = [t for t in turns if t.kind is TurnKind.ORIGINAL]
-    inserted = [t for t in turns if t.kind is not TurnKind.ORIGINAL]
-    inform_pct = _percent([inform for _, inform, _ in verdicts])
-    success_pct = _percent([success for _, _, success in verdicts])
-    bleu_value = _bleu_score([t.bleu_stats for t in turns], smoothing)
-    return {
-        "inform": inform_pct,
-        "success": success_pct,
-        "bleu": bleu_value,
-        "meteor": _percent([t.meteor for t in turns]),
-        "rouge_l": _percent([t.rouge_l for t in turns]),
-        "combined": combined_score(inform_pct, success_pct, bleu_value),
-        "joint_goal": _percent([t.goal_hit for t in original]),
-        "mrr5": _mean([t.mrr5 for t in inserted]),
-        "r1": _mean([t.r1 for t in inserted]),
-        "n_dialogs": n_dialogs,
-        "n_turns": len(turns),
-        "n_original": len(original),
-        "n_inserted": len(inserted),
-    }
+    def summary(self, smoothing: bool) -> dict:
+        n_turns = self.original + self.inserted
+        inform = _average(100.0 * self.informs, self.dialogs)
+        success = _average(100.0 * self.successes, self.dialogs)
+        bleu_value = _bleu_score(self.bleu_stats, smoothing)
+        return {
+            "inform": inform,
+            "success": success,
+            "bleu": bleu_value,
+            "meteor": _average(100.0 * self.meteor, n_turns),
+            "rouge_l": _average(100.0 * self.rouge_l, n_turns),
+            "combined": combined_score(inform, success, bleu_value),
+            "joint_goal": _average(100.0 * self.goal_hits, self.original),
+            "mrr5": _average(self.mrr5, self.inserted),
+            "r1": _average(self.r1, self.inserted),
+            "n_dialogs": self.dialogs,
+            "n_turns": n_turns,
+            "n_original": self.original,
+            "n_inserted": self.inserted,
+        }
 
 
 def evaluate(
@@ -525,45 +497,52 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation report over a corpus.
 
-    Every turn of every dialog must have a prediction.  Joint Goal is
-    computed on original turns, MRR@5 and R@1 on inserted turns, the
-    response-quality metrics on all turns, and Inform/Success per dialog
-    (they stay 0 when no database/ontology is supplied).  METEOR and
-    ROUGE-L are averaged over turns and reported on the 0-100 scale;
-    MRR@5 and R@1 stay on [0, 1].
+    Every turn of every dialog must have a prediction, and every prediction
+    must be for a turn of the corpus.  Joint Goal is computed on original
+    turns, MRR@5 and R@1 on inserted turns, the response-quality metrics on
+    all turns, and Inform/Success per dialog (they stay 0 when no
+    database/ontology is supplied).  METEOR and ROUGE-L are averaged over
+    turns and reported on the 0-100 scale; MRR@5 and R@1 stay on [0, 1].
 
-    Dialogs are scored once, in id order; ``by_split`` and ``by_kind`` are
-    sub-aggregates of the same per-turn scores, with BLEU from summed
-    n-gram counts.
+    Dialogs are scored once, in id order, and each turn's results are added
+    to its three groups: overall, its split and its kind.
     """
-    pred_map = _prediction_map(predictions)
-    dialogs = sorted(corpus, key=lambda d: d.id)
-    turns: list[_TurnScore] = []
-    verdicts: list[tuple[str, bool, bool]] = []  # (split, inform, success) per dialog
-    for dialog in dialogs:
-        turn_preds = []
-        for turn in dialog.turns:
-            pred = _prediction_for(pred_map, dialog.id, turn)
-            turn_preds.append(pred)
-            turns.append(_score_turn(dialog.split, turn, pred, canon_map))
+    pred_map = {(p.dialog_id, p.turn_index): p for p in predictions}
+    overall = _Group()
+    by_split: dict[str, _Group] = {}
+    by_kind = {kind: _Group() for kind in TurnKind}
+    for dialog in sorted(corpus, key=lambda d: d.id):
+        split = by_split.setdefault(dialog.split, _Group())
+        turn_preds = [_take_prediction(pred_map, dialog.id, turn) for turn in dialog.turns]
+        for turn, pred in zip(dialog.turns, turn_preds):
+            original = turn.kind is TurnKind.ORIGINAL
+            scores = (
+                original,
+                _bleu_stats(pred.response, turn.response),
+                meteor(pred.response, turn.response),
+                rouge_l(pred.response, turn.response),
+                original and _goal_hit(pred, turn, canon_map),
+                0.0 if original else mrr_at_k(pred.ranked_docs, turn.doc_id),
+                0 if original else r_at_1(pred.ranked_docs, turn.doc_id),
+            )
+            for group in (overall, split, by_kind[turn.kind]):
+                group.add_turn(*scores)
+        inform = success = False
         if db is not None and ontology is not None:
             inform, success = inform_success(turn_preds, dialog.goal, db, ontology, delex=delex)
-            verdicts.append((dialog.split, inform, success))
+        overall.add_dialog(inform, success)
+        split.add_dialog(inform, success)
+    if pred_map:
+        first = min(pred_map)
+        raise SchemaError(f"{len(pred_map)} prediction(s) match no corpus turn, first {first[0]} turn {first[1]}")
 
-    overall = _summary(turns, verdicts, len(dialogs), bleu_smoothing)
-    by_split = {}
-    for split in sorted({d.split for d in dialogs}):
-        by_split[split] = _summary(
-            [t for t in turns if t.split == split],
-            [v for v in verdicts if v[0] == split],
-            sum(1 for d in dialogs if d.split == split),
-            bleu_smoothing,
-        )
-    by_kind = {}
-    for kind in TurnKind:
-        of_kind = [t for t in turns if t.kind is kind]
-        if of_kind:
-            summary = _summary(of_kind, (), 0, bleu_smoothing)
-            by_kind[kind.value] = {key: summary[key] for key in ("n_turns", "bleu", "meteor", "rouge_l")}
-
-    return EvalReport(by_split=by_split, by_kind=by_kind, **overall)
+    kinds = {}
+    for kind, group in by_kind.items():
+        if group.original + group.inserted:
+            summary = group.summary(bleu_smoothing)
+            kinds[kind.value] = {key: summary[key] for key in ("n_turns", "bleu", "meteor", "rouge_l")}
+    return EvalReport(
+        by_split={name: by_split[name].summary(bleu_smoothing) for name in sorted(by_split)},
+        by_kind=kinds,
+        **overall.summary(bleu_smoothing),
+    )

@@ -224,22 +224,15 @@ def tfidf_retrieve(
     model = index.model
     q_vec = tfidf_weights(term_counts(_context_tokens(context)), model)
     q_norm = vector_norm(q_vec)
-    # A document's products are kept in context-word order and added by one
-    # sum() call, so its score is the float a dot product over the whole
-    # vectors gives (sum() rounds differently from += on Python >= 3.12).
-    products: dict[int, list[float]] = {}
+    # One addition per context word, in context-word order, from 0.0: the
+    # same float as a dot product over the whole vectors.
+    dots: dict[int, float] = {}
     for w, v in q_vec.items():
         idf = model.idf(w)
-        positions, counts = index.postings[w]
-        for pos, c in zip(positions, counts):
-            x = v * (c * idf)
-            found = products.get(pos)
-            if found is None:
-                products[pos] = [x]
-            else:
-                found.append(x)
+        for pos, c in zip(*index.postings[w]):
+            dots[pos] = dots.get(pos, 0.0) + v * (c * idf)
     norms = index.norms
-    scores = {pos: sum(xs) / (q_norm * norms[pos]) for pos, xs in products.items()}
+    scores = {pos: dot / (q_norm * norms[pos]) for pos, dot in dots.items()}
     return RankedRetrieval(query=None, ranking=_top_k(index, scores, k))
 
 

@@ -607,6 +607,21 @@ def test_evaluate_incomplete_predictions(capsys, tmp_path, paths, pred_path):
     assert payload["error"]["type"] == "MissingPredictionError"
 
 
+def test_evaluate_rejects_predictions_for_turns_not_in_the_corpus(capsys, tmp_path, paths, pred_path):
+    records = json.loads(pred_path.read_text(encoding="utf-8"))
+    records.append(dict(records[0], dialog_id="zzz-999"))
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(records), encoding="utf-8")
+    rc, payload, _ = run(
+        capsys, "evaluate", "--corpus", paths["corpus"], "--predictions", str(extra)
+    )
+    assert rc == 1
+    assert payload["error"] == {
+        "type": "SchemaError",
+        "message": f"1 prediction(s) match no corpus turn, first zzz-999 turn {records[0]['turn_index']}",
+    }
+
+
 def test_evaluate_rejects_ranked_docs_string(capsys, tmp_path, paths, pred_path):
     records = json.loads(pred_path.read_text(encoding="utf-8"))
     records[0]["ranked_docs"] = "abc"

@@ -11,7 +11,7 @@ import pytest
 from hybridkm.cli import _load_canon_map, load_config, main
 from hybridkm.corpus import TurnKind, load_corpus, load_database, load_document_base, load_ontology
 from hybridkm.errors import ParseError, SchemaError
-from hybridkm.kb_unstructured import canonical_dumps, load_index
+from hybridkm.kb_unstructured import build_index, canonical_dumps, load_index
 from hybridkm.metrics import load_predictions
 
 DATA = Path(__file__).parent / "data" / "synthetic"
@@ -132,6 +132,22 @@ def test_turn_doc_id_must_be_a_string(capsys, tmp_path):
     assert payload["error"]["message"] == message
 
 
+def edit_corpus(field, value):
+    data = json.loads(Path(CORPUS).read_text(encoding="utf-8"))
+    if field == "constraint":
+        data["dialogs"][0]["goal"]["restaurant"]["constraints"]["food"] = value
+    else:
+        data["dialogs"][0]["turns"][0][field] = value
+    return data
+
+
+def edit_index(field, value):
+    index = build_index(load_document_base(DOCS))
+    data = {"version": index.version, "thresholds": index.thresholds, "topics": index.topics}
+    data[field] = value
+    return data
+
+
 def edit_docs(field, value):
     data = json.loads(Path(DOCS).read_text(encoding="utf-8"))
     if field == "documents":
@@ -164,6 +180,13 @@ def edit_ontology(field, value):
 @pytest.mark.parametrize(
     "role, edit, field, value, message",
     [
+        ("corpus", edit_corpus, "constraint", 5, "constraints for domain 'restaurant' must be an object of strings"),
+        ("corpus", edit_corpus, "constraint", None, "constraints for domain 'restaurant' must be an object of strings"),
+        ("corpus", edit_corpus, "index", True, "turn index must be a positive integer, got True"),
+        ("index", edit_index, "topics", ["rest-alpha-wifi"], "topics must be an object of word lists"),
+        ("index", edit_index, "topics", {"rest-alpha-wifi": "wifi"}, "topics must be an object of word lists"),
+        ("index", edit_index, "topics", {"rest-alpha-wifi": ["wifi", 5]}, "topics must be an object of word lists"),
+        ("index", edit_index, "thresholds", [0.5], "thresholds must be an object"),
         ("docs", edit_docs, "entity", 5, "entity must be a string or null, got 5"),
         ("docs", edit_docs, "entity", ["alpha bistro"], "entity must be a string or null"),
         ("docs", edit_docs, "body", 5, "body must be a string, got 5"),

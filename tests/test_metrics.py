@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -504,11 +506,8 @@ def test_equal_state_texts_in_one_load_are_one_object(tmp_path):
     assert all(a.state is not b.state for a, b in zip(first, second))
 
 
-def test_prediction_and_score_records_are_slotted(corpus, gold_predictions):
-    pred = gold_predictions[0]
-    turn = corpus.dialogs[pred.dialog_id].turns[pred.turn_index - 1]
-    score = metrics._score_turn("test", turn, pred, None)
-    for record in (pred, score):
+def test_prediction_and_group_records_are_slotted(gold_predictions):
+    for record in (gold_predictions[0], metrics._Group()):
         assert not hasattr(record, "__dict__")
 
 
@@ -657,6 +656,19 @@ def test_evaluate_requires_full_coverage(corpus, gold_predictions):
         evaluate(corpus, gold_predictions[:-1])
 
 
+def test_evaluate_rejects_predictions_for_turns_not_in_the_corpus(corpus, gold_predictions):
+    first = gold_predictions[0]
+    extra = [
+        dataclasses.replace(first, turn_index=99),
+        dataclasses.replace(first, dialog_id="zzz"),
+        dataclasses.replace(first, dialog_id="aaa", turn_index=3),
+    ]
+    with pytest.raises(SchemaError, match=r"^3 prediction\(s\) match no corpus turn, first aaa turn 3$"):
+        evaluate(corpus, gold_predictions + extra)
+    # joint_goal() still scores a corpus against a superset of its predictions
+    assert joint_goal(gold_predictions + extra, corpus) == 100.0
+
+
 def test_evaluate_mrr_reflects_rank(corpus, db, ontology, gold_predictions):
     # demote the gold doc to rank 2 for one of the six inserted turns
     def demote(p):
@@ -689,6 +701,12 @@ def test_evaluate_report_matches_golden(data_dir, corpus, db, ontology, imperfec
     assert text == (data_dir / f"report_imperfect_{mode}.json").read_text(encoding="utf-8")
 
 
+def _left_to_right(values):
+    """Float sum added one by one from 0.0, as evaluate adds its means
+    (sum() compensates from Python 3.12 on)."""
+    return reduce(operator.add, values, 0.0)
+
+
 def test_evaluate_groups_equal_public_metrics_on_their_subset(corpus, db, ontology, imperfect):
     report = evaluate(corpus, imperfect, db=db, ontology=ontology)
     pred_map = {(p.dialog_id, p.turn_index): p for p in imperfect}
@@ -700,8 +718,8 @@ def test_evaluate_groups_equal_public_metrics_on_their_subset(corpus, db, ontolo
         return {
             "n_turns": len(pairs),
             "bleu": bleu(cands, refs),
-            "meteor": 100.0 * sum(meteor(c, r) for c, r in zip(cands, refs)) / len(pairs),
-            "rouge_l": 100.0 * sum(rouge_l(c, r) for c, r in zip(cands, refs)) / len(pairs),
+            "meteor": 100.0 * _left_to_right(meteor(c, r) for c, r in zip(cands, refs)) / len(pairs),
+            "rouge_l": 100.0 * _left_to_right(rouge_l(c, r) for c, r in zip(cands, refs)) / len(pairs),
         }
 
     for kind in ("original", "inserted"):
@@ -726,7 +744,7 @@ def test_evaluate_groups_equal_public_metrics_on_their_subset(corpus, db, ontolo
             success=success,
             combined=combined_score(inform, success, expected["bleu"]),
             joint_goal=joint_goal(imperfect, DialogCorpus({d.id: d for d in subset})),
-            mrr5=sum(mrr_at_k(p.ranked_docs, t.doc_id) for p, t in inserted) / len(inserted),
+            mrr5=_left_to_right(mrr_at_k(p.ranked_docs, t.doc_id) for p, t in inserted) / len(inserted),
             r1=sum(r_at_1(p.ranked_docs, t.doc_id) for p, t in inserted) / len(inserted),
             n_dialogs=len(subset),
             n_original=len(pairs) - len(inserted),
